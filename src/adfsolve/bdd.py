@@ -48,7 +48,6 @@ class BddManager:
         ]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._cache: dict[tuple, int] = {}
-        self._sizes: dict[int, int] = {0: 1, 1: 1}
         # recursion depth tracks the variable order, never the node count
         limit = 4 * num_vars + 2000
         if sys.getrecursionlimit() < limit:
@@ -113,8 +112,8 @@ class BddManager:
             raise BddError("operands belong to different managers")
 
     def _apply(self, op: int, a: int, b: int) -> int:
-        # terminal short-circuits keep the O(n^2) probing of the greedy
-        # conjunction cheap once an operand collapses
+        # constant and equal operands are settled before the memo lookup;
+        # commutative operators order their operands to share cache keys
         if op == _AND:
             if a == 0 or b == 0:
                 return 0
@@ -304,17 +303,10 @@ class BddManager:
         # give a bottom-up evaluation order
         return sorted(seen)
 
-    def _size(self, root: int) -> int:
-        found = self._sizes.get(root)
-        if found is None:
-            found = len(self._reachable(root))
-            self._sizes[root] = found
-        return found
-
     def size(self, f: "Bdd") -> int:
         """Number of nodes reachable from the root, terminals included."""
         self._claim(f)
-        return self._size(f.root)
+        return len(self._reachable(f.root))
 
     def support(self, f: "Bdd") -> set[int]:
         """Set of variable levels the function depends on."""
@@ -329,8 +321,23 @@ class BddManager:
         beyond 64 bits.  ``f`` must not depend on variables outside
         ``over``.
         """
+        _, counts, ranks = self.model_counts(f, sorted(set(over)))
+        return counts[f.root] << ranks[f.root]
+
+    def model_counts(
+        self, f: "Bdd", levels: Sequence[int]
+    ) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+        """Exact model counts below every node of ``f`` over sorted ``levels``.
+
+        Returns ``rank`` (level -> position in ``levels``), ``counts`` and
+        ``ranks``.  For each node ``u`` reachable from the root, ``ranks[u]``
+        is the rank of its variable (``len(levels)`` for the terminals) and
+        ``counts[u]`` is the number of assignments to ``levels[ranks[u]:]``
+        that lead from ``u`` to the true terminal.  One bottom-up pass;
+        raises :class:`BddError` if ``f`` depends on a variable outside
+        ``levels``.
+        """
         self._claim(f)
-        levels = sorted(set(over))
         rank = {v: i for i, v in enumerate(levels)}
         m = len(levels)
         nodes = self._nodes
@@ -347,7 +354,7 @@ class BddManager:
             r = rank[v]
             counts[u] = (counts[lo] << (ranks[lo] - r - 1)) + (counts[hi] << (ranks[hi] - r - 1))
             ranks[u] = r
-        return counts[f.root] << ranks[f.root]
+        return rank, counts, ranks
 
     def validate(self) -> None:
         """Check store invariants: reduced nodes, no duplicate triples."""
@@ -448,30 +455,25 @@ class BddManager:
             g = self._apply(_OR, g, self._apply(_AND, self._mk(v, 0, 1), self._restrict(g, v, 0)))
         return Bdd(self, g)
 
-    def greedy_conjunction(self, clauses: Iterable["Bdd"]) -> "Bdd":
-        """Conjoin many diagrams, smallest intermediate result first.
+    def conjoin(self, clauses: Iterable["Bdd"]) -> "Bdd":
+        """Conjoin many diagrams, deepest top variable first.
 
-        Every round conjoins the pending clause whose product with the
-        accumulator has the fewest nodes.  That costs O(n^2) apply calls,
-        but the probing results are memoized and intermediate diagrams
-        stay dramatically smaller than with a fixed fold order.
+        The clauses are folded in descending order of the level of their
+        top variable, so the accumulator grows upward through the variable
+        order and each step mostly adds nodes above what is already built.
+        The fold stops as soon as the accumulator is false.  The result is
+        canonical, so it does not depend on the order of ``clauses``.
         """
-        pending = []
+        roots = []
         for c in clauses:
             self._claim(c)
-            pending.append(c.root)
+            roots.append(c.root)
+        nodes = self._nodes
         acc = 1
-        while pending:
-            best_index = 0
-            best_root = -1
-            best_size = None
-            for i, c in enumerate(pending):
-                candidate = self._apply(_AND, acc, c)
-                s = self._size(candidate)
-                if best_size is None or s < best_size:
-                    best_index, best_root, best_size = i, candidate, s
-            acc = best_root
-            pending.pop(best_index)
+        for root in sorted(roots, key=lambda u: nodes[u][0], reverse=True):
+            acc = self._apply(_AND, acc, root)
+            if acc == 0:
+                break
         return Bdd(self, acc)
 
 

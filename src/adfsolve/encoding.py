@@ -214,7 +214,7 @@ def validity_constraint(layout: VarLayout) -> Bdd:
     """Require ``top | bot`` for every argument's dual pair."""
     man = layout.manager
     clauses = [man.var(layout.top(i)) | man.var(layout.bot(i)) for i in range(layout.n)]
-    return man.greedy_conjunction(clauses)
+    return man.conjoin(clauses)
 
 
 def decode(valuation, layout: VarLayout, kind: Kind) -> Interpretation:

@@ -17,6 +17,10 @@ interpretations satisfying the semantics, never an explicit enumeration:
   problem on the dual variables, ground the whole relation at once, and
   keep the candidates whose true arguments were all re-derived.
 
+The per-argument clauses of the first three are conjoined by
+``BddManager.conjoin``: one fold, from the clause with the deepest top
+variable upward, so the accumulator grows up the interleaved layout.
+
 The preferred and stable peeling loops finish in at most ``n + 1``
 rounds; the loop counters are checked and recorded on the result.
 """
@@ -69,7 +73,7 @@ def two_valued_models(adf: Adf, layout: VarLayout) -> SolutionSet:
         man.var(layout.direct(i)).iff(formula_to_bdd(condition, layout))
         for i, condition in enumerate(adf.conditions)
     ]
-    return SolutionSet(man.greedy_conjunction(clauses), layout, "direct", "2v")
+    return SolutionSet(man.conjoin(clauses), layout, "direct", "2v")
 
 
 def admissible(adf: Adf, layout: VarLayout) -> SolutionSet:
@@ -81,7 +85,7 @@ def admissible(adf: Adf, layout: VarLayout) -> SolutionSet:
         bot = man.var(layout.bot(i))
         clauses.append(top | bot)
         clauses.append(pair.top_fn.implies(top) & pair.bot_fn.implies(bot))
-    return SolutionSet(man.greedy_conjunction(clauses), layout, "dual", "adm")
+    return SolutionSet(man.conjoin(clauses), layout, "dual", "adm")
 
 
 def complete(adf: Adf, layout: VarLayout) -> SolutionSet:
@@ -97,7 +101,7 @@ def complete(adf: Adf, layout: VarLayout) -> SolutionSet:
             & pair.bot_fn.implies(bot)
             & (top & bot).implies(pair.top_fn & pair.bot_fn)
         )
-    return SolutionSet(man.greedy_conjunction(clauses), layout, "dual", "com")
+    return SolutionSet(man.conjoin(clauses), layout, "dual", "com")
 
 
 def grounded(adf: Adf, layout: VarLayout) -> Interpretation:

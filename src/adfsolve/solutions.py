@@ -85,22 +85,7 @@ def sample_uniform(solset: SolutionSet, n: int, seed: int) -> list[Interpretatio
     man = layout.manager
     nodes = man._nodes
     levels = sorted(solset.variables())
-    rank = {v: i for i, v in enumerate(levels)}
-    m = len(levels)
-
-    reachable = man._reachable(solset.bdd.root)
-    for u in reachable:
-        if u > 1 and nodes[u][0] not in rank:
-            raise BddError(f"set depends on variable {nodes[u][0]} outside its kind")
-    counts: dict[int, int] = {0: 0, 1: 1}
-    ranks: dict[int, int] = {0: m, 1: m}
-    for u in reachable:
-        if u < 2:
-            continue
-        v, lo, hi = nodes[u]
-        r = rank[v]
-        counts[u] = (counts[lo] << (ranks[lo] - r - 1)) + (counts[hi] << (ranks[hi] - r - 1))
-        ranks[u] = r
+    rank, counts, ranks = man.model_counts(solset.bdd, levels)
 
     rng = random.Random(seed)
     out = []

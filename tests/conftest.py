@@ -1,4 +1,4 @@
-"""Shared generators for randomized differential tests."""
+"""Shared model generators for randomized and structured tests."""
 
 import random
 
@@ -42,3 +42,35 @@ def random_adf_with_free_inputs(rng: random.Random, n: int, depth: int = 4) -> A
         for i in range(n)
     )
     return Adf(names, conditions)
+
+
+def grid_adf(rows: int, cols: int, seed: int = 5, free_period: int = 29) -> Adf:
+    """Grid-shaped model: each cell depends on up to three neighbours."""
+    rng = random.Random(seed)
+    names = tuple(f"g{r}_{c}" for r in range(rows) for c in range(cols))
+    conditions = []
+    for r in range(rows):
+        for c in range(cols):
+
+            def ref(rr, cc):
+                v = Var(f"g{rr}_{cc}")
+                return Not(v) if rng.random() < 0.4 else v
+
+            index = r * cols + c
+            if index % free_period == 0:
+                conditions.append(Var(names[index]))
+                continue
+            deps = []
+            if c > 0:
+                deps.append(ref(r, c - 1))
+            if r > 0:
+                deps.append(ref(r - 1, c))
+            if r > 0 and c > 0 and rng.random() < 0.5:
+                deps.append(ref(r - 1, c - 1))
+            condition = deps[0]
+            for dep in deps[1:]:
+                condition = (
+                    And(condition, dep) if rng.random() < 0.6 else Or(condition, dep)
+                )
+            conditions.append(condition)
+    return Adf(names, tuple(conditions))

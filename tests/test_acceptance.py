@@ -20,7 +20,7 @@ from adfsolve.encoding import (
     gamma_pairs,
     validity_constraint,
 )
-from adfsolve.formula import Adf, And, Not, Or, Var, parse_adf
+from adfsolve.formula import Adf, Var, parse_adf
 from adfsolve.oracle import brute_semantics
 from adfsolve.semantics import (
     SEMANTICS,
@@ -35,7 +35,13 @@ from adfsolve.semantics import (
     two_valued_models,
 )
 from adfsolve.solutions import count, enumerate_solutions, sample_uniform
-from conftest import EXAMPLE_ADF, random_adf, random_adf_with_free_inputs, random_formula
+from conftest import (
+    EXAMPLE_ADF,
+    grid_adf,
+    random_adf,
+    random_adf_with_free_inputs,
+    random_formula,
+)
 
 CORPUS_SIZE = 200
 CHI2_001_DF4 = 18.467  # chi-square upper critical value, 4 dof, p = 0.001
@@ -354,38 +360,6 @@ def test_criterion_9_free_input_restriction():
         f"restriction is answer-preserving and sound on 50 free-input models "
         f"({failures} failures)",
     )
-
-
-def grid_adf(rows: int, cols: int, seed: int = 5, free_period: int = 29) -> Adf:
-    """Grid-shaped model: each cell depends on up to three neighbours."""
-    rng = random.Random(seed)
-    names = tuple(f"g{r}_{c}" for r in range(rows) for c in range(cols))
-    conditions = []
-    for r in range(rows):
-        for c in range(cols):
-
-            def ref(rr, cc):
-                v = Var(f"g{rr}_{cc}")
-                return Not(v) if rng.random() < 0.4 else v
-
-            index = r * cols + c
-            if index % free_period == 0:
-                conditions.append(Var(names[index]))
-                continue
-            deps = []
-            if c > 0:
-                deps.append(ref(r, c - 1))
-            if r > 0:
-                deps.append(ref(r - 1, c))
-            if r > 0 and c > 0 and rng.random() < 0.5:
-                deps.append(ref(r - 1, c - 1))
-            condition = deps[0]
-            for dep in deps[1:]:
-                condition = (
-                    And(condition, dep) if rng.random() < 0.6 else Or(condition, dep)
-                )
-            conditions.append(condition)
-    return Adf(names, tuple(conditions))
 
 
 def test_criterion_10_performance_smoke():

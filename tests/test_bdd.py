@@ -326,15 +326,25 @@ def test_upward_closure_partial_variable_set():
     assert g == ~man.var(2)
 
 
-def test_greedy_conjunction():
+def test_conjoin():
     man = BddManager(6)
-    assert man.greedy_conjunction([]).is_true
+    assert man.conjoin([]).is_true
     x = [man.var(i) for i in range(6)]
-    assert man.greedy_conjunction([x[0], ~x[0], x[1]]).is_false
+    assert man.conjoin([x[0], ~x[0], x[1]]).is_false
     rng = random.Random(43)
+    shuffler = random.Random(44)
     for _ in range(100):
         clauses = [build_bdd(man, random_expr(rng, 6, 3)) for _ in range(rng.randint(1, 8))]
         expected = man.true
         for c in clauses:
             expected = expected & c
-        assert man.greedy_conjunction(clauses) == expected
+        assert man.conjoin(clauses) == expected
+        # the result is canonical, so the clause order cannot change the root
+        shuffled = clauses[:]
+        shuffler.shuffle(shuffled)
+        assert man.conjoin(shuffled).root == expected.root
+    other = BddManager(6)
+    with pytest.raises(BddError):
+        man.conjoin([x[0], other.var(1)])
+    with pytest.raises(BddError):
+        man.conjoin([man.false, other.var(1)])

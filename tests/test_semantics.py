@@ -1,6 +1,7 @@
 """Symbolic semantics against the exhaustive reference, plus invariants."""
 
 import random
+import time
 
 import pytest
 
@@ -21,7 +22,7 @@ from adfsolve.semantics import (
     two_valued_models,
 )
 from adfsolve.solutions import count, enumerate_solutions
-from conftest import EXAMPLE_ADF, random_adf, random_adf_with_free_inputs
+from conftest import EXAMPLE_ADF, grid_adf, random_adf, random_adf_with_free_inputs
 
 
 def solved_set(adf, sem, restrict=True):
@@ -144,6 +145,21 @@ def test_chain_inclusions_symbolic():
         assert com.bdd.implies(adm.bdd).is_true
         g = encode_interpretation(grounded(adf, layout), layout, "dual")
         assert com.bdd.evaluate(g)
+
+
+def test_grid_inclusion_chain():
+    # the 200-argument grid of acceptance criterion 10, under its 60 s bound
+    adf = grid_adf(25, 8)
+    started = time.perf_counter()
+    layout = VarLayout.for_adf(adf)
+    tv = two_valued_models(adf, layout)
+    com = complete(adf, layout)
+    adm = admissible(adf, layout)
+    elapsed = time.perf_counter() - started
+    assert count(tv) > 0
+    assert embed_two_valued(tv, layout).bdd.implies(com.bdd).is_true
+    assert com.bdd.implies(adm.bdd).is_true
+    assert elapsed < 60.0
 
 
 def test_two_valued_equals_two_valued_members_of_complete():
