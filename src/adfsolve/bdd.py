@@ -28,7 +28,7 @@ class BddError(Exception):
 
 
 # opcodes for the shared memo cache
-_AND, _OR, _XOR, _IMP, _IFF, _NOT, _EXISTS, _FLIP, _RESTRICT = range(9)
+_AND, _OR, _XOR, _IMP, _IFF, _NOT, _EXISTS, _FLIP, _UP = range(9)
 
 _OPS = {"and": _AND, "or": _OR, "xor": _XOR, "imp": _IMP, "iff": _IFF}
 
@@ -254,22 +254,6 @@ class BddManager:
         self._cache[key] = result
         return result
 
-    def _restrict(self, a: int, level: int, value: int) -> int:
-        if a < 2:
-            return a
-        v, lo, hi = self._nodes[a]
-        if v > level:
-            return a
-        if v == level:
-            return hi if value else lo
-        key = (_RESTRICT, a, level, value)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._mk(v, self._restrict(lo, level, value), self._restrict(hi, level, value))
-        self._cache[key] = result
-        return result
-
     # -- evaluation, counting, inspection --------------------------------
 
     def evaluate(self, f: "Bdd", valuation: Sequence[bool]) -> bool:
@@ -446,14 +430,32 @@ class BddManager:
 
         The result accepts ``y`` whenever some satisfying ``x`` agrees with
         ``y`` outside ``over`` and has its true positions within ``over``
-        contained in those of ``y``.  One cofactor-or-join per variable.
+        contained in those of ``y``.  One memoized pass: a node on a variable
+        in ``over`` takes the join of its two closed branches as high branch.
         """
         self._claim(f)
-        g = f.root
-        for v in sorted(set(over)):
+        levels = frozenset(over)
+        for v in levels:
             self._check_level(v)
-            g = self._apply(_OR, g, self._apply(_AND, self._mk(v, 0, 1), self._restrict(g, v, 0)))
-        return Bdd(self, g)
+        return Bdd(self, self._up(f.root, levels, max(levels, default=-1)))
+
+    def _up(self, a: int, levels: frozenset[int], top: int) -> int:
+        if a < 2:
+            return a
+        v, lo, hi = self._nodes[a]
+        if v > top:
+            return a
+        key = (_UP, a, levels)
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        l = self._up(lo, levels, top)
+        h = self._up(hi, levels, top)
+        if v in levels:
+            h = self._apply(_OR, l, h)
+        result = self._mk(v, l, h)
+        self._cache[key] = result
+        return result
 
     def conjoin(self, clauses: Iterable["Bdd"]) -> "Bdd":
         """Conjoin many diagrams, deepest top variable first.

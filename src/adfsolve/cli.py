@@ -8,7 +8,8 @@ stdout; diagnostics and timing stay on stderr so stdout remains
 machine-readable.
 
 Exit codes: 0 success, 1 input or usage error, 2 resource-limit abort
-(the xor-elimination budget, overridable via ``BASS_NODE_BUDGET``).
+(the xor-elimination budget, overridable via ``BASS_NODE_BUDGET``, or a
+peeling or grounding loop past its round bound).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 from . import formula as fmt
-from . import oracle, semantics, solutions
+from . import semantics, solutions
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -82,6 +83,7 @@ def _parse_model(text: str, input_format: str) -> fmt.Adf:
 
 
 def _oracle_differential(adf: fmt.Adf, solset, config: RunConfig, err) -> None:
+    from . import oracle  # only the hidden --oracle flag needs it
     expected = oracle.brute_semantics(adf, config.semantics)
     actual = set(solutions.enumerate_solutions(solset))
     if actual != expected:
@@ -105,7 +107,11 @@ def run(config: RunConfig, out=None, err=None) -> int:
         return EXIT_INPUT
 
     started = time.perf_counter()
-    solset = semantics.solve(adf, config.semantics, restrict_inputs=config.restrict_inputs)
+    try:
+        solset = semantics.solve(adf, config.semantics, restrict_inputs=config.restrict_inputs)
+    except RuntimeError as exc:  # a round bound, or RecursionError
+        print(f"error: {exc}", file=err)
+        return EXIT_LIMIT
 
     total = solutions.count(solset)
     listed = None

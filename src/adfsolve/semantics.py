@@ -17,12 +17,11 @@ interpretations satisfying the semantics, never an explicit enumeration:
   problem on the dual variables, ground the whole relation at once, and
   keep the candidates whose true arguments were all re-derived.
 
-The per-argument clauses of the first three are conjoined by
-``BddManager.conjoin``: one fold, from the clause with the deepest top
-variable upward, so the accumulator grows up the interleaved layout.
-
-The preferred and stable peeling loops finish in at most ``n + 1``
-rounds; the loop counters are checked and recorded on the result.
+Per-argument clauses are conjoined by ``BddManager.conjoin``: one fold,
+from the clause with the deepest top variable upward, so the accumulator
+grows up the interleaved layout.  Preferred and stable share one peeling
+primitive, ``peel_minimal``, which stops within ``n + 1`` rounds; stable
+grounding re-checks an argument only after one its trigger reads flipped.
 """
 
 from __future__ import annotations
@@ -138,34 +137,37 @@ def grounded_set(adf: Adf, layout: VarLayout) -> SolutionSet:
     return SolutionSet(cube, layout, "dual", "grd")
 
 
-def preferred(complete_set: SolutionSet, layout: VarLayout) -> SolutionSet:
-    """Maximally refined members of the complete set.
+def peel_minimal(work: Bdd, indicators: list[Bdd], over: list[int]) -> tuple[Bdd, int]:
+    """Members of ``work`` minimal under bitwise inclusion over ``over``.
 
-    Each round extracts a member with the fewest unknowns; every
-    remaining member with that same number of unknowns is maximal too,
-    so the whole slice moves to the result at once and all weakenings of
-    the slice leave the working set.
+    Each round counts the indicators ``k`` at a member with the fewest
+    positive literals, moves the members with exactly ``k`` indicators to
+    the result and drops their upward closure from ``work``.  That slice
+    is minimal when indicators grow strictly with positive literals
+    (literals, or ``top & bot`` on valid dual pairs).  Every round takes
+    a new ``k``, so it returns the members and at most
+    ``len(indicators) + 1`` rounds.
     """
-    man = layout.manager
-    n = layout.n
-    star = [man.var(layout.top(i)) & man.var(layout.bot(i)) for i in range(n)]
-    dual_vars = layout.dual_vars
-    work = complete_set.bdd
+    man = work.manager
     found = man.false
     rounds = 0
     while not work.is_false:
         rounds += 1
-        if rounds > n + 1:
-            raise RuntimeError("preferred peeling exceeded its round bound")
-        valuation = man.least_positive_valuation(work, dual_vars)
-        k = sum(
-            1
-            for i in range(n)
-            if valuation[layout.top(i)] and valuation[layout.bot(i)]
-        )
-        slice_ = work & man.exact_count_constraint(star, k)
+        if rounds > len(indicators) + 1:
+            raise RuntimeError("peeling exceeded its round bound")
+        valuation = man.least_positive_valuation(work, over)
+        k = sum(1 for f in indicators if f.evaluate(valuation))
+        slice_ = work & man.exact_count_constraint(indicators, k)
         found = found | slice_
-        work = work & ~man.upward_closure(slice_, dual_vars)
+        work = work & ~man.upward_closure(slice_, over)
+    return found, rounds
+
+
+def preferred(complete_set: SolutionSet, layout: VarLayout) -> SolutionSet:
+    """Maximally refined members of the complete set: refining clears dual bits."""
+    man = layout.manager
+    star = [man.var(layout.top(i)) & man.var(layout.bot(i)) for i in range(layout.n)]
+    found, rounds = peel_minimal(complete_set.bdd, star, layout.dual_vars)
     return SolutionSet(found, layout, "dual", "prf", iterations=rounds)
 
 
@@ -177,57 +179,45 @@ def stable(
     """Two-valued models whose true arguments are all well-founded."""
     man = layout.manager
     n = layout.n
-    direct_vars = layout.direct_vars
-
-    # candidates minimal in their sets of true arguments; the peeling
-    # mirrors the preferred computation over direct variables
     literals = [man.var(layout.direct(i)) for i in range(n)]
-    work = two_valued_set.bdd
-    candidates = man.false
-    rounds = 0
-    while not work.is_false:
-        rounds += 1
-        if rounds > n + 1:
-            raise RuntimeError("stable peeling exceeded its round bound")
-        valuation = man.least_positive_valuation(work, direct_vars)
-        k = sum(1 for i in range(n) if valuation[layout.direct(i)])
-        slice_ = work & man.exact_count_constraint(literals, k)
-        candidates = candidates | slice_
-        work = work & ~man.upward_closure(slice_, direct_vars)
+    candidates, rounds = peel_minimal(two_valued_set.bdd, literals, layout.direct_vars)
 
-    # pair every candidate with the start state of its reduced problem:
-    # true arguments open as unknown, false arguments pinned to false;
-    # the per-argument gadgets are local, so a plain fold stays linear
-    relation = candidates
+    # start every candidate's reduced problem with its true arguments
+    # unknown and its false ones false; a trigger says the operator
+    # already forces an unknown argument true; readers[j] lists the
+    # arguments whose trigger reads argument j
+    start, triggers, derived = [candidates], [], []
+    readers: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
-        s = man.var(layout.direct(i))
+        s = literals[i]
         top = man.var(layout.top(i))
         bot = man.var(layout.bot(i))
-        relation = relation & s.implies(top & bot) & (~s).implies(~top & bot)
+        start.append(s.implies(top & bot) & (~s).implies(~top & bot))
+        triggers.append(top & bot & gammas[i].top_fn & ~gammas[i].bot_fn)
+        derived.append(s.implies(top & ~bot))
+        for level in triggers[i].support():
+            readers[level // 3].add(i)
+    relation = man.conjoin(start)
 
-    # ground the whole relation: whenever an argument is unknown but the
-    # operator already forces it true, flip its dual pair to true
+    # ground the whole relation by flipping triggered arguments to true.
+    # Each candidate keeps one row and its flips only add truth, so the
+    # order of the flips cannot change the fixed point.
+    pending = set(range(n))
     for _ in range(n + 2):
-        before = relation
-        for i in range(n):
-            star = man.var(layout.top(i)) & man.var(layout.bot(i))
-            to_one = relation & star & gammas[i].top_fn & ~gammas[i].bot_fn
-            if to_one.is_false:
-                continue
-            relation = (relation & ~to_one) | to_one.flip(layout.bot(i))
-        if relation == before:
+        woken: set[int] = set()
+        for i in sorted(pending):
+            to_one = relation & triggers[i]
+            if not to_one.is_false:
+                relation = (relation & ~to_one) | to_one.flip(layout.bot(i))
+                woken |= readers[i]
+        pending = woken
+        if not pending:
             break
     else:
         raise RuntimeError("grounding sweeps exceeded their bound")
 
     # keep candidates whose true arguments were all derived, then project
-    final = relation
-    for i in range(n):
-        s = man.var(layout.direct(i))
-        top = man.var(layout.top(i))
-        bot = man.var(layout.bot(i))
-        final = final & s.implies(top & ~bot)
-    final = final.exists(layout.dual_vars)
+    final = man.conjoin([relation] + derived).exists(layout.dual_vars)
     return SolutionSet(final, layout, "direct", "stb", iterations=rounds)
 
 

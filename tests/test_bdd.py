@@ -326,6 +326,13 @@ def test_upward_closure_partial_variable_set():
     assert g == ~man.var(2)
 
 
+def test_upward_closure_rejects_out_of_range_level():
+    man = BddManager(3)
+    for level in (-1, 3):
+        with pytest.raises(BddError):
+            man.upward_closure(man.var(0), [0, level])
+
+
 def test_conjoin():
     man = BddManager(6)
     assert man.conjoin([]).is_true

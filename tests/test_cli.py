@@ -229,6 +229,18 @@ def test_xor_budget_abort_exit_code(capsys, tmp_path, monkeypatch):
     assert out.count("&") > 0
 
 
+@pytest.mark.parametrize("error", [RuntimeError, RecursionError])
+def test_round_bound_abort_exit_code(capsys, monkeypatch, example_path, error):
+    def exceed(*args, **kwargs):
+        raise error("peeling exceeded its round bound")
+
+    monkeypatch.setattr("adfsolve.semantics.solve", exceed)
+    code, out, err = run_cli(capsys, "solve", "--sem", "prf", "--count", example_path)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: peeling exceeded its round bound"
+
+
 def test_bad_budget_env(capsys, tmp_path, monkeypatch, example_path):
     monkeypatch.setenv("BASS_NODE_BUDGET", "zero")
     code, _, err = run_cli(capsys, "convert", "--format", "bnet", example_path)

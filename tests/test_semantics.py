@@ -6,7 +6,8 @@ import time
 import pytest
 
 from adfsolve.encoding import VarLayout, encode_interpretation, gamma_pairs
-from adfsolve.formula import Adf, Var, parse_adf
+from adfsolve.bdd import BddManager
+from adfsolve.formula import Adf, And, Not, Var, parse_adf
 from adfsolve.oracle import brute_semantics
 from adfsolve.semantics import (
     SEMANTICS,
@@ -15,6 +16,7 @@ from adfsolve.semantics import (
     embed_two_valued,
     grounded,
     grounded_set,
+    peel_minimal,
     preferred,
     restrict_free_inputs,
     solve,
@@ -27,6 +29,34 @@ from conftest import EXAMPLE_ADF, grid_adf, random_adf, random_adf_with_free_inp
 
 def solved_set(adf, sem, restrict=True):
     return set(enumerate_solutions(solve(adf, sem, restrict_inputs=restrict)))
+
+
+def alternating_chain(n):
+    """``x0`` is a free input and every later argument negates its predecessor."""
+    names = tuple(f"x{i}" for i in range(n))
+    return Adf(names, (Var("x0"),) + tuple(Not(Var(names[i - 1])) for i in range(1, n)))
+
+
+def attack_with_tail(tail, self_attack):
+    """Mutual attack ``a = not b`` plus a tail of ``tail`` arguments declared last-first.
+
+    With ``self_attack`` the tail follows ``b`` and each tail argument
+    attacks itself while ``b`` holds; otherwise the tail copies ``a``.
+    Reverse declaration order puts every tail argument before the one it
+    depends on, so each grounding sweep advances one step only.
+    """
+    a, b = Var("a"), Var("b")
+    names = [f"t{k}" for k in range(1, tail + 1)]
+    conditions = []
+    prev = b if self_attack else a
+    for name in names:
+        me = Var(name)
+        conditions.append(And(prev, Not(And(b, me))) if self_attack else prev)
+        prev = me
+    return Adf(
+        tuple(reversed(names)) + ("b", "a"),
+        tuple(reversed(conditions)) + (Not(a), Not(b)),
+    )
 
 
 def test_example_counts_and_members():
@@ -124,6 +154,62 @@ def test_iteration_bounds():
         assert prf.iterations is not None and prf.iterations <= n + 1
         stb = stable(two_valued_models(adf, layout), gamma_pairs(adf, layout), layout)
         assert stb.iterations is not None and stb.iterations <= n + 1
+
+
+def test_peel_minimal_matches_brute_force():
+    rng = random.Random(149)
+    for trial in range(60):
+        nvars = rng.randint(1, 8)
+        paired = trial % 2 == 1 and nvars >= 2
+        if paired:
+            nvars -= nvars % 2
+        man = BddManager(nvars)
+        density = rng.choice((0.05, 0.2, 0.5))
+        table = [rng.random() < density for _ in range(1 << nvars)]
+        if paired:
+            # dual pairs (2i, 2i+1) that are never both false, as in prf
+            for p in range(1 << nvars):
+                if any((p >> 2 * i) & 3 == 0 for i in range(nvars // 2)):
+                    table[p] = False
+            indicators = [man.var(2 * i) & man.var(2 * i + 1) for i in range(nvars // 2)]
+        else:
+            indicators = [man.var(v) for v in range(nvars)]
+        work = man.false
+        for p, member in enumerate(table):
+            if member:
+                cube = man.true
+                for v in range(nvars):
+                    cube = cube & (man.var(v) if (p >> v) & 1 else man.nvar(v))
+                work = work | cube
+        found, rounds = peel_minimal(work, indicators, list(range(nvars)))
+        members = [p for p in range(1 << nvars) if table[p]]
+        minimal = {p for p in members if not any(q != p and q & p == q for q in members)}
+        got = {
+            p
+            for p in range(1 << nvars)
+            if found.evaluate([bool((p >> v) & 1) for v in range(nvars)])
+        }
+        assert got == minimal
+        assert rounds <= len(indicators) + 1
+
+
+def test_attack_tails_declared_last_first_match_oracle():
+    for tail in range(7):
+        for self_attack in (False, True):
+            adf = attack_with_tail(tail, self_attack)
+            for sem in ("prf", "stb"):
+                for restrict in (True, False):
+                    assert solved_set(adf, sem, restrict) == brute_semantics(adf, sem), (
+                        f"{sem} diverged on tail {tail}, self_attack={self_attack}"
+                    )
+
+
+def test_long_chain_peels():
+    started = time.perf_counter()
+    prf = solve(alternating_chain(1000), "prf")
+    assert count(prf) == 2
+    assert time.perf_counter() - started < 60.0
+    assert count(solve(alternating_chain(200), "stb")) == 1
 
 
 def test_chain_inclusions_symbolic():
