@@ -28,7 +28,7 @@ class BddError(Exception):
 
 
 # opcodes for the shared memo cache
-_AND, _OR, _XOR, _IMP, _IFF, _NOT, _EXISTS, _FLIP, _UP = range(9)
+_AND, _OR, _XOR, _IMP, _IFF, _NOT, _EXISTS, _UP = range(8)
 
 _OPS = {"and": _AND, "or": _OR, "xor": _XOR, "imp": _IMP, "iff": _IFF}
 
@@ -202,7 +202,7 @@ class BddManager:
         self._cache[key] = result
         return result
 
-    # -- quantification and substitution ---------------------------------
+    # -- quantification -------------------------------------------------
 
     def exists(self, f: "Bdd", variables: Iterable[int]) -> "Bdd":
         """Existentially quantify the given variable levels out of ``f``."""
@@ -228,29 +228,6 @@ class BddManager:
             result = self._apply(_OR, l, h)
         else:
             result = self._mk(v, l, h)
-        self._cache[key] = result
-        return result
-
-    def flip_var(self, f: "Bdd", level: int) -> "Bdd":
-        """Substitute variable ``level`` with its own negation."""
-        self._claim(f)
-        self._check_level(level)
-        return Bdd(self, self._flip(f.root, level))
-
-    def _flip(self, a: int, level: int) -> int:
-        if a < 2:
-            return a
-        v, lo, hi = self._nodes[a]
-        if v > level:
-            return a
-        key = (_FLIP, a, level)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if v == level:
-            result = self._mk(v, hi, lo)
-        else:
-            result = self._mk(v, self._flip(lo, level), self._flip(hi, level))
         self._cache[key] = result
         return result
 
@@ -539,9 +516,6 @@ class Bdd:
 
     def exists(self, variables: Iterable[int]) -> "Bdd":
         return self.manager.exists(self, variables)
-
-    def flip(self, level: int) -> "Bdd":
-        return self.manager.flip_var(self, level)
 
     def sat_count(self, over: Iterable[int]) -> int:
         return self.manager.sat_count(self, over)

@@ -8,8 +8,8 @@ stdout; diagnostics and timing stay on stderr so stdout remains
 machine-readable.
 
 Exit codes: 0 success, 1 input or usage error, 2 resource-limit abort
-(the xor-elimination budget, overridable via ``BASS_NODE_BUDGET``, or a
-peeling or grounding loop past its round bound).
+(the xor-elimination budget, overridable via ``BASS_NODE_BUDGET``, or the
+peeling loop past its round bound).
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
     started = time.perf_counter()
     try:
         solset = semantics.solve(adf, config.semantics, restrict_inputs=config.restrict_inputs)
-    except RuntimeError as exc:  # a round bound, or RecursionError
+    except RuntimeError as exc:  # the peeling loop's round bound, or RecursionError
         print(f"error: {exc}", file=err)
         return EXIT_LIMIT
 

@@ -24,7 +24,7 @@ from typing import Literal
 from .bdd import _OR, Bdd, BddManager
 from .formula import Adf, And, Const, Formula, Iff, Imp, Not, Or, Var
 
-Kind = Literal["direct", "dual", "combined"]
+Kind = Literal["direct", "dual"]
 
 
 class EncodingError(Exception):
@@ -111,10 +111,6 @@ class VarLayout:
             out.append(3 * i + 1)
             out.append(3 * i + 2)
         return out
-
-    @property
-    def all_vars(self) -> list[int]:
-        return list(range(3 * self.n))
 
 
 @dataclass(frozen=True)

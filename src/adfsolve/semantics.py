@@ -13,15 +13,14 @@ interpretations satisfying the semantics, never an explicit enumeration:
 * preferred: peel the complete set by number of unknowns, from fewest to
   most, discarding every weakening of what was already collected;
 * stable: reduce the two-valued set to candidates minimal in their true
-  arguments, pair each candidate with the start state of its reduced
-  problem on the dual variables, ground the whole relation at once, and
-  keep the candidates whose true arguments were all re-derived.
+  arguments, then drop every candidate with a nonempty unfounded set of
+  true arguments, found by one conjunction over the dual variables and
+  one projection.
 
 Per-argument clauses are conjoined by ``BddManager.conjoin``: one fold,
 from the clause with the deepest top variable upward, so the accumulator
 grows up the interleaved layout.  Preferred and stable share one peeling
-primitive, ``peel_minimal``, which stops within ``n + 1`` rounds; stable
-grounding re-checks an argument only after one its trigger reads flipped.
+primitive, ``peel_minimal``, which stops within ``n + 1`` rounds.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ class SolutionSet:
 
     ``kind`` names the variables the diagram ranges over: ``direct`` for
     two-valued sets, ``dual`` for three-valued sets (always carrying the
-    validity constraint), ``combined`` for relations over all variables.
+    validity constraint).
     """
 
     bdd: Bdd
@@ -60,9 +59,7 @@ class SolutionSet:
     def variables(self) -> list[int]:
         if self.kind == "direct":
             return self.layout.direct_vars
-        if self.kind == "dual":
-            return self.layout.dual_vars
-        return self.layout.all_vars
+        return self.layout.dual_vars
 
 
 def two_valued_models(adf: Adf, layout: VarLayout) -> SolutionSet:
@@ -118,17 +115,17 @@ def grounded(adf: Adf, layout: VarLayout) -> Interpretation:
 def interpretation_cube(interp: Interpretation, layout: VarLayout) -> Bdd:
     """Dual-variable diagram accepting exactly one interpretation."""
     man = layout.manager
-    cube = man.true
+    clauses = []
     for i, value in enumerate(interp.values):
         top = man.var(layout.top(i))
         bot = man.var(layout.bot(i))
         if value == "1":
-            cube = cube & top & ~bot
+            clauses.append(top & ~bot)
         elif value == "0":
-            cube = cube & ~top & bot
+            clauses.append(~top & bot)
         else:
-            cube = cube & top & bot
-    return cube
+            clauses.append(top & bot)
+    return man.conjoin(clauses)
 
 
 def grounded_set(adf: Adf, layout: VarLayout) -> SolutionSet:
@@ -176,49 +173,37 @@ def stable(
     gammas: list[GammaPair],
     layout: VarLayout,
 ) -> SolutionSet:
-    """Two-valued models whose true arguments are all well-founded."""
+    """Two-valued models whose true arguments are all well-founded.
+
+    The candidates are the models minimal in their true arguments.  A
+    candidate with true set ``T`` is stable exactly when no nonempty
+    ``U`` within ``T`` is *unfounded*: under ``sigma_U`` (``U`` unknown,
+    the rest of ``T`` true, everything else false) the operator forces no
+    argument of ``U`` true.  If the candidate is not stable, take ``G``
+    the grounded interpretation of its reduct and ``U`` the arguments of
+    ``T`` that ``G`` leaves not true: ``sigma_U`` is below ``G`` in the
+    information order, so an argument of ``U`` forced true there would be
+    true in the fixed point ``G``.  If it is stable, the reduct's grounding
+    iteration makes all of ``U`` true; the first step that sets an
+    argument of ``U`` starts from a state below ``sigma_U``, so that
+    argument is forced true under ``sigma_U`` and ``U`` is not unfounded.
+    """
     man = layout.manager
-    n = layout.n
-    literals = [man.var(layout.direct(i)) for i in range(n)]
+    literals = [man.var(layout.direct(i)) for i in range(layout.n)]
     candidates, rounds = peel_minimal(two_valued_set.bdd, literals, layout.direct_vars)
 
-    # start every candidate's reduced problem with its true arguments
-    # unknown and its false ones false; a trigger says the operator
-    # already forces an unknown argument true; readers[j] lists the
-    # arguments whose trigger reads argument j
-    start, triggers, derived = [candidates], [], []
-    readers: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        s = literals[i]
+    # unstable: some sigma_U with U nonempty forces no argument of U true
+    clauses, not_star = [candidates], []
+    for i, s in enumerate(literals):
         top = man.var(layout.top(i))
         bot = man.var(layout.bot(i))
-        start.append(s.implies(top & bot) & (~s).implies(~top & bot))
-        triggers.append(top & bot & gammas[i].top_fn & ~gammas[i].bot_fn)
-        derived.append(s.implies(top & ~bot))
-        for level in triggers[i].support():
-            readers[level // 3].add(i)
-    relation = man.conjoin(start)
-
-    # ground the whole relation by flipping triggered arguments to true.
-    # Each candidate keeps one row and its flips only add truth, so the
-    # order of the flips cannot change the fixed point.
-    pending = set(range(n))
-    for _ in range(n + 2):
-        woken: set[int] = set()
-        for i in sorted(pending):
-            to_one = relation & triggers[i]
-            if not to_one.is_false:
-                relation = (relation & ~to_one) | to_one.flip(layout.bot(i))
-                woken |= readers[i]
-        pending = woken
-        if not pending:
-            break
-    else:
-        raise RuntimeError("grounding sweeps exceeded their bound")
-
-    # keep candidates whose true arguments were all derived, then project
-    final = man.conjoin([relation] + derived).exists(layout.dual_vars)
-    return SolutionSet(final, layout, "direct", "stb", iterations=rounds)
+        star = top & bot
+        clauses.append(s.implies(top) & (~s).implies(~top & bot))
+        clauses.append(star.implies(~gammas[i].top_fn | gammas[i].bot_fn))
+        not_star.append(~star)
+    clauses.append(~man.conjoin(not_star))
+    unstable = man.conjoin(clauses).exists(layout.dual_vars)
+    return SolutionSet(candidates & ~unstable, layout, "direct", "stb", iterations=rounds)
 
 
 def restrict_free_inputs(solset: SolutionSet, adf: Adf, mode: str) -> SolutionSet:
@@ -249,13 +234,13 @@ def restrict_free_inputs(solset: SolutionSet, adf: Adf, mode: str) -> SolutionSe
 def embed_two_valued(solset: SolutionSet, layout: VarLayout) -> SolutionSet:
     """Re-express a direct-variable set on the dual variables."""
     man = layout.manager
-    embedded = solset.bdd
+    clauses = [solset.bdd]
     for i in range(layout.n):
         s = man.var(layout.direct(i))
         top = man.var(layout.top(i))
         bot = man.var(layout.bot(i))
-        embedded = embedded & s.implies(top & ~bot) & (~s).implies(~top & bot)
-    embedded = embedded.exists(layout.direct_vars)
+        clauses.append(s.implies(top & ~bot) & (~s).implies(~top & bot))
+    embedded = man.conjoin(clauses).exists(layout.direct_vars)
     return SolutionSet(embedded, layout, "dual", solset.tag, solset.iterations)
 
 

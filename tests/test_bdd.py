@@ -180,22 +180,6 @@ def test_exists_negation_duality():
             assert forall.evaluate(v) == expected
 
 
-def test_flip_var():
-    man = BddManager(6)
-    x0 = man.var(0)
-    assert x0.flip(0) == ~x0
-    rng = random.Random(17)
-    for _ in range(40):
-        expr = random_expr(rng, 6, 4)
-        f = build_bdd(man, expr)
-        v = rng.randrange(6)
-        flipped = f.flip(v)
-        assert flipped.flip(v) == f
-        table = table_of_expr(expr, 6)
-        for p, val in enumerate(valuations(6)):
-            assert flipped.evaluate(val) == table[p ^ (1 << v)]
-
-
 def test_eval_matches_ast_evaluation():
     rng = random.Random(19)
     man = BddManager(8)

@@ -43,7 +43,7 @@ def test_layout_is_interleaved():
     flat = [v for triple in triples for v in triple]
     assert flat == list(range(9))
     assert layout.manager.num_vars == 9
-    assert set(layout.direct_vars) | set(layout.dual_vars) == set(layout.all_vars)
+    assert set(layout.direct_vars) | set(layout.dual_vars) == set(range(layout.manager.num_vars))
 
 
 def test_formula_to_bdd_constants_and_example():

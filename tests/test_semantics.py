@@ -43,7 +43,7 @@ def attack_with_tail(tail, self_attack):
     With ``self_attack`` the tail follows ``b`` and each tail argument
     attacks itself while ``b`` holds; otherwise the tail copies ``a``.
     Reverse declaration order puts every tail argument before the one it
-    depends on, so each grounding sweep advances one step only.
+    depends on, so well-foundedness runs against the variable order.
     """
     a, b = Var("a"), Var("b")
     names = [f"t{k}" for k in range(1, tail + 1)]
@@ -109,6 +109,25 @@ def test_stable_single_free_input():
     adf = parse_adf("s(a). ac(a,a).")
     members = solved_set(adf, "stb")
     assert {i.values for i in members} == {("0",)}
+
+
+@pytest.mark.parametrize(
+    "conditions, two_valued, stable_values",
+    [
+        # both models are minimal; in 011 {b} alone is unfounded, c is not
+        ("ac(a,neg(b)). ac(b,and(neg(a),and(c,b))). ac(c,neg(a)).", {"100", "011"}, {"100"}),
+        # in 110 the whole true set {a,b} is unfounded
+        ("ac(a,b). ac(b,a). ac(c,neg(a)).", {"110", "001"}, {"001"}),
+    ],
+    ids=["part-of-true-set", "whole-true-set"],
+)
+def test_stable_rejects_unfounded_true_sets(conditions, two_valued, stable_values):
+    adf = parse_adf("s(a). s(b). s(c). " + conditions)
+    assert {"".join(i.values) for i in solved_set(adf, "2v")} == two_valued
+    for restrict in (True, False):
+        members = solved_set(adf, "stb", restrict)
+        assert members == brute_semantics(adf, "stb")
+        assert {"".join(i.values) for i in members} == stable_values
 
 
 def test_dual_sets_carry_validity():
@@ -208,8 +227,15 @@ def test_long_chain_peels():
     started = time.perf_counter()
     prf = solve(alternating_chain(1000), "prf")
     assert count(prf) == 2
+    assert count(solve(alternating_chain(1000), "stb")) == 1
     assert time.perf_counter() - started < 60.0
-    assert count(solve(alternating_chain(200), "stb")) == 1
+
+
+def test_grounded_cube_on_long_chain_stays_linear():
+    n = 1000
+    grd = solve(alternating_chain(n), "grd")
+    assert count(grd) == 1
+    assert len(grd.layout.manager._nodes) < 10 * n
 
 
 def test_chain_inclusions_symbolic():
