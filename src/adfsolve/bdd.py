@@ -8,10 +8,10 @@ represent the same Boolean function exactly when their root integers are
 equal.
 
 Besides the usual binary operators, quantification and model counting,
-the manager provides the three set-optimization primitives the solver
-needs: extracting a satisfying valuation with the fewest positive
-literals, building an "exactly k of these functions hold" constraint,
-and the monotone upward closure of a set under bitwise inclusion.
+the manager provides the two set primitives the solver's peeling needs:
+the lightest members of a set (those with the fewest true variables
+among a given group), and the monotone upward closure of a set under
+bitwise inclusion.
 
 A manager and every diagram it owns belong to a single thread; distinct
 managers are fully independent.
@@ -336,71 +336,54 @@ class BddManager:
 
     # -- specialty operations --------------------------------------------
 
-    def least_positive_valuation(self, f: "Bdd", over: Iterable[int]) -> list[bool] | None:
-        """A satisfying valuation with the fewest variables set to true.
+    def lightest(self, f: "Bdd", over: Iterable[int]) -> tuple["Bdd", int]:
+        """The members of ``f`` with the fewest true ``over`` variables.
 
-        Returns ``None`` when ``f`` is unsatisfiable.  Variables skipped by
-        the extracted path (and everything outside ``over``) are set to
-        false.  Single bottom-up pass over the nodes, so linear in the
-        diagram size.
+        Returns that subset of ``f`` together with its number of true
+        ``over`` variables (the *weight*); raises :class:`BddError` when
+        ``f`` is unsatisfiable.  A bottom-up pass gives each node the least
+        weight below it; a memoized rebuild keyed by (node, next ``over``
+        level) keeps the branches that reach it and sets false every
+        ``over`` level a kept path skips, since setting it true adds weight.
         """
         self._claim(f)
+        levels = sorted(set(over))
+        for v in levels:
+            self._check_level(v)
         if f.root == 0:
-            return None
+            raise BddError("an unsatisfiable function has no lightest members")
         nodes = self._nodes
-        reachable = self._reachable(f.root)
-        inf = float("inf")
-        cost: dict[int, float] = {0: inf, 1: 0}
-        for u in reachable:
-            if u < 2:
-                continue
-            _, lo, hi = nodes[u]
-            cost[u] = min(cost[lo], 1 + cost[hi])
-        valuation = [False] * self.num_vars
-        u = f.root
-        while u > 1:
-            v, lo, hi = nodes[u]
-            if cost[lo] <= 1 + cost[hi]:
-                u = lo
+        after = {v: i + 1 for i, v in enumerate(levels)}  # index of the next over level
+        cost: dict[int, float] = {0: float("inf"), 1: 0}
+        for u in self._reachable(f.root):
+            if u > 1:
+                v, lo, hi = nodes[u]
+                cost[u] = min(cost[lo], cost[hi] + (v in after))
+        memo: dict[tuple[int, int], int] = {}
+
+        def keep(u: int, j: int) -> int:
+            # the lightest members below u, with levels[j:] above u set false
+            key = (u, j)
+            result = memo.get(key)
+            if result is not None:
+                return result
+            v = nodes[u][0]
+            if j < len(levels) and levels[j] < v:
+                result = self._mk(levels[j], keep(u, j + 1), 0)
+            elif u == 1:
+                result = 1
             else:
-                valuation[v] = True
-                u = hi
-        return valuation
+                _, lo, hi = nodes[u]
+                nxt = after.get(v, j)
+                result = self._mk(
+                    v,
+                    keep(lo, nxt) if cost[lo] == cost[u] else 0,
+                    keep(hi, nxt) if cost[hi] + (v in after) == cost[u] else 0,
+                )
+            memo[key] = result
+            return result
 
-    def exact_count_constraint(self, indicators: Sequence["Bdd"], k: int) -> "Bdd":
-        """Diagram satisfied when exactly ``k`` of the indicators hold.
-
-        Built as a layered dynamic program from the last indicator to the
-        first, with an absorbing overflow once more than ``k`` indicators
-        are already satisfied.  When each indicator touches its own
-        contiguous block of the variable order the result stays small
-        (O(m*k) nodes for single literals).
-        """
-        if k < 0:
-            raise BddError("count must be nonnegative")
-        for f in indicators:
-            self._claim(f)
-        # layer[c] = constraint "exactly k - c of the remaining indicators hold"
-        layer = [1 if c == k else 0 for c in range(k + 1)]
-        for f in reversed(indicators):
-            root = f.root
-            nroot = self._not(root)
-            nxt = []
-            for c in range(k + 1):
-                take = layer[c + 1] if c + 1 <= k else 0
-                skip = layer[c]
-                if take == skip:
-                    nxt.append(take)
-                else:
-                    nxt.append(
-                        self._apply(
-                            _OR,
-                            self._apply(_AND, root, take),
-                            self._apply(_AND, nroot, skip),
-                        )
-                    )
-            layer = nxt
-        return Bdd(self, layer[0])
+        return Bdd(self, keep(f.root, 0)), int(cost[f.root])
 
     def upward_closure(self, f: "Bdd", over: Iterable[int]) -> "Bdd":
         """Close the satisfying set of ``f`` upward under bitwise inclusion.

@@ -8,8 +8,9 @@ stdout; diagnostics and timing stay on stderr so stdout remains
 machine-readable.
 
 Exit codes: 0 success, 1 input or usage error, 2 resource-limit abort
-(the xor-elimination budget, overridable via ``BASS_NODE_BUDGET``, or the
-peeling loop past its round bound).
+(the xor-elimination budget, overridable via ``BASS_NODE_BUDGET``, a
+condition nested past the recursion limit, or a peeling round whose slice
+weight fails to grow).
 """
 
 from __future__ import annotations
@@ -105,11 +106,14 @@ def run(config: RunConfig, out=None, err=None) -> int:
     except (InputError, fmt.ParseError, fmt.FormatError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INPUT
+    except RecursionError as exc:  # a condition nested too deeply
+        print(f"error: {exc}", file=err)
+        return EXIT_LIMIT
 
     started = time.perf_counter()
     try:
         solset = semantics.solve(adf, config.semantics, restrict_inputs=config.restrict_inputs)
-    except RuntimeError as exc:  # the peeling loop's round bound, or RecursionError
+    except RuntimeError as exc:  # a peel whose weight fails to grow, or RecursionError
         print(f"error: {exc}", file=err)
         return EXIT_LIMIT
 
@@ -255,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, fmt.ParseError, fmt.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except fmt.RewriteBudgetError as exc:
+    except (fmt.RewriteBudgetError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
 

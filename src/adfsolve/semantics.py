@@ -10,8 +10,9 @@ interpretations satisfying the semantics, never an explicit enumeration:
 * complete: admissible plus ``(top & bot) -> (top_fn & bot_fn)``;
 * grounded: iterate the characteristic operator from the all-unknown
   interpretation to its least fixed point;
-* preferred: peel the complete set by number of unknowns, from fewest to
-  most, discarding every weakening of what was already collected;
+* preferred: peel the complete set by number of true dual variables
+  (on valid pairs, n plus the number of unknowns), from fewest to most,
+  discarding every weakening of what was already collected;
 * stable: reduce the two-valued set to candidates minimal in their true
   arguments, then drop every candidate with a nonempty unfounded set of
   true arguments, found by one conjunction over the dual variables and
@@ -20,7 +21,11 @@ interpretations satisfying the semantics, never an explicit enumeration:
 Per-argument clauses are conjoined by ``BddManager.conjoin``: one fold,
 from the clause with the deepest top variable upward, so the accumulator
 grows up the interleaved layout.  Preferred and stable share one peeling
-primitive, ``peel_minimal``, which stops within ``n + 1`` rounds.
+primitive, ``peel_minimal``: each round takes the lightest slice of what is
+left (``BddManager.lightest``) and drops its upward closure.  The slice
+weight must grow every round, and it ranges over n + 1 values (0..n true
+arguments for stb, n..2n true dual variables for prf), so a peel stops
+within ``n + 1`` rounds.
 """
 
 from __future__ import annotations
@@ -134,37 +139,33 @@ def grounded_set(adf: Adf, layout: VarLayout) -> SolutionSet:
     return SolutionSet(cube, layout, "dual", "grd")
 
 
-def peel_minimal(work: Bdd, indicators: list[Bdd], over: list[int]) -> tuple[Bdd, int]:
+def peel_minimal(work: Bdd, over: list[int]) -> tuple[Bdd, int]:
     """Members of ``work`` minimal under bitwise inclusion over ``over``.
 
-    Each round counts the indicators ``k`` at a member with the fewest
-    positive literals, moves the members with exactly ``k`` indicators to
-    the result and drops their upward closure from ``work``.  That slice
-    is minimal when indicators grow strictly with positive literals
-    (literals, or ``top & bot`` on valid dual pairs).  Every round takes
-    a new ``k``, so it returns the members and at most
-    ``len(indicators) + 1`` rounds.
+    Each round moves the lightest members of ``work`` (fewest true
+    ``over`` variables) to the result and drops their upward closure from
+    ``work``.  A member strictly below a lightest one is lighter, so it
+    has already left ``work`` above an earlier slice, and the lightest one
+    would have left with it: every slice is minimal.  The weight must grow
+    every round, so there are at most ``len(over) + 1`` rounds.  Returns
+    the members and the round count.
     """
     man = work.manager
     found = man.false
-    rounds = 0
+    rounds, last = 0, -1
     while not work.is_false:
-        rounds += 1
-        if rounds > len(indicators) + 1:
-            raise RuntimeError("peeling exceeded its round bound")
-        valuation = man.least_positive_valuation(work, over)
-        k = sum(1 for f in indicators if f.evaluate(valuation))
-        slice_ = work & man.exact_count_constraint(indicators, k)
+        slice_, weight = man.lightest(work, over)
+        if weight <= last:
+            raise RuntimeError("peeling did not raise the weight of its slice")
         found = found | slice_
         work = work & ~man.upward_closure(slice_, over)
+        rounds, last = rounds + 1, weight
     return found, rounds
 
 
 def preferred(complete_set: SolutionSet, layout: VarLayout) -> SolutionSet:
     """Maximally refined members of the complete set: refining clears dual bits."""
-    man = layout.manager
-    star = [man.var(layout.top(i)) & man.var(layout.bot(i)) for i in range(layout.n)]
-    found, rounds = peel_minimal(complete_set.bdd, star, layout.dual_vars)
+    found, rounds = peel_minimal(complete_set.bdd, layout.dual_vars)
     return SolutionSet(found, layout, "dual", "prf", iterations=rounds)
 
 
@@ -190,7 +191,7 @@ def stable(
     """
     man = layout.manager
     literals = [man.var(layout.direct(i)) for i in range(layout.n)]
-    candidates, rounds = peel_minimal(two_valued_set.bdd, literals, layout.direct_vars)
+    candidates, rounds = peel_minimal(two_valued_set.bdd, layout.direct_vars)
 
     # unstable: some sigma_U with U nonempty forces no argument of U true
     clauses, not_star = [candidates], []

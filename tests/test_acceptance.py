@@ -218,38 +218,27 @@ def test_criterion_5_specialty_operations():
             expr = expr | cube
         return expr
 
-    # fewest-true-variables extraction
+    # lightest members: fewest true variables among a random subset
     for _ in range(200):
         nvars = rng.randint(1, 10)
         man = BddManager(nvars)
         f = random_table_bdd(man, nvars, density=False)
+        over = [v for v in range(nvars) if rng.random() < 0.7]
+        weights = [sum((p >> v) & 1 for v in over) for p in range(1 << nvars)]
         sat = [
             p
             for p in range(1 << nvars)
             if f.evaluate([bool((p >> i) & 1) for i in range(nvars)])
         ]
-        found = man.least_positive_valuation(f, range(nvars))
-        if not sat:
-            if found is not None:
-                failures += 1
-            continue
-        if not f.evaluate(found) or sum(found) != min(bin(p).count("1") for p in sat):
+        best = min(weights[p] for p in sat)  # a cube is never empty
+        slice_, weight = man.lightest(f, over)
+        got = [
+            p
+            for p in range(1 << nvars)
+            if slice_.evaluate([bool((p >> i) & 1) for i in range(nvars)])
+        ]
+        if weight != best or got != [p for p in sat if weights[p] == best]:
             failures += 1
-
-    # exactly-k constraints over literal lists
-    for _ in range(200):
-        m = rng.randint(1, 10)
-        man = BddManager(m)
-        negated = [rng.random() < 0.5 for _ in range(m)]
-        literals = [man.nvar(i) if negated[i] else man.var(i) for i in range(m)]
-        k = rng.randint(0, m + 1)
-        constraint = man.exact_count_constraint(literals, k)
-        for p in range(1 << m):
-            v = [bool((p >> i) & 1) for i in range(m)]
-            hits = sum(v[i] != negated[i] for i in range(m))
-            if constraint.evaluate(v) != (hits == k):
-                failures += 1
-                break
 
     # upward closure
     for _ in range(200):
@@ -275,7 +264,8 @@ def test_criterion_5_specialty_operations():
     report(
         5,
         failures == 0,
-        f"three specialty operations match brute force on 200 functions each "
+        f"two set primitives (lightest members, upward closure) match brute "
+        f"force on 200 functions each "
         f"({failures} failures)",
     )
 

@@ -44,6 +44,15 @@ def eval_expr(expr, valuation):
     return a == b
 
 
+def shift_expr(expr, offset):
+    kind = expr[0]
+    if kind == "var":
+        return ("var", expr[1] + offset)
+    if kind == "const":
+        return expr
+    return (kind,) + tuple(shift_expr(e, offset) for e in expr[1:])
+
+
 def build_bdd(man, expr):
     kind = expr[0]
     if kind == "var":
@@ -226,54 +235,50 @@ def test_sat_count_inclusion_exclusion():
         ) + g.sat_count(over)
 
 
-def test_least_positive_valuation_trivial():
+def test_lightest_trivial():
     man = BddManager(3)
-    assert man.least_positive_valuation(man.false, [0, 1, 2]) is None
-    f = man.var(0) | (man.var(1) & man.var(2))
-    v = man.least_positive_valuation(f, [0, 1, 2])
-    assert v == [True, False, False]
+    with pytest.raises(BddError):
+        man.lightest(man.false, [0, 1, 2])
+    with pytest.raises(BddError):
+        man.lightest(man.true, [3])
+    x = [man.var(i) for i in range(3)]
+    assert man.lightest(man.true, [0, 1, 2]) == (~x[0] & ~x[1] & ~x[2], 0)
+    assert man.lightest(man.true, []) == (man.true, 0)
+    f = x[0] | (x[1] & x[2])
+    assert man.lightest(f, [0, 1, 2]) == (x[0] & ~x[1] & ~x[2], 1)
+    assert man.lightest(f, [1, 2]) == (x[0] & ~x[1] & ~x[2], 0)
+    assert man.lightest(f, [0]) == (~x[0] & x[1] & x[2], 0)
 
 
-def test_least_positive_valuation_matches_brute_force():
+def test_lightest_matches_brute_force():
     rng = random.Random(31)
-    man = BddManager(8)
-    for _ in range(200):
-        expr = random_expr(rng, 8, 5)
+    for trial in range(200):
+        nvars = rng.randint(1, 8)
+        man = BddManager(nvars)
+        # a window of the variables, so that over levels above the root and
+        # below the last node are skipped by every path
+        first = rng.randrange(nvars)
+        width = rng.randint(1, nvars - first)
+        expr = shift_expr(random_expr(rng, width, 5), first)
         f = build_bdd(man, expr)
-        table = table_of_expr(expr, 8)
-        sat = [p for p in range(256) if table[p]]
-        found = man.least_positive_valuation(f, range(8))
+        if trial % 2:
+            over = sorted(rng.sample(range(nvars), rng.randint(0, nvars)))
+        else:
+            over = list(range(nvars))
+        table = table_of_expr(expr, nvars)
+        weights = [sum((p >> v) & 1 for v in over) for p in range(1 << nvars)]
+        sat = [p for p in range(1 << nvars) if table[p]]
         if not sat:
-            assert found is None
+            with pytest.raises(BddError):
+                man.lightest(f, over)
             continue
-        best = min(bin(p).count("1") for p in sat)
-        assert f.evaluate(found)
-        assert sum(found) == best
-
-
-def test_exact_count_constraint_trivial():
-    man = BddManager(4)
-    x = [man.var(i) for i in range(4)]
-    zero = man.exact_count_constraint([x[0], x[1], x[2]], 0)
-    assert zero == ~x[0] & ~x[1] & ~x[2]
-    both = man.exact_count_constraint([x[0] & x[1], x[2] & x[3]], 2)
-    assert both == x[0] & x[1] & x[2] & x[3]
-    assert man.exact_count_constraint([x[0], x[1]], 3).is_false
-
-
-def test_exact_count_constraint_matches_brute_force():
-    rng = random.Random(37)
-    for _ in range(40):
-        m = rng.randint(1, 10)
-        man = BddManager(m)
-        negated = [rng.random() < 0.5 for _ in range(m)]
-        literals = [man.nvar(i) if negated[i] else man.var(i) for i in range(m)]
-        for k in range(m + 2):
-            constraint = man.exact_count_constraint(literals, k)
-            for p in range(1 << m):
-                v = [bool((p >> i) & 1) for i in range(m)]
-                true_count = sum(v[i] != negated[i] for i in range(m))
-                assert constraint.evaluate(v) == (true_count == k)
+        best = min(weights[p] for p in sat)
+        slice_, weight = man.lightest(f, over)
+        assert weight == best
+        assert table_of_bdd(slice_, nvars) == [
+            table[p] and weights[p] == best for p in range(1 << nvars)
+        ]
+        man.validate()
 
 
 def test_upward_closure_trivial():

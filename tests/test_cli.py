@@ -1,7 +1,11 @@
 """Command-line behaviour: outputs, exit codes, conversions."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +243,33 @@ def test_round_bound_abort_exit_code(capsys, monkeypatch, example_path, error):
     assert code == 2
     assert out == ""
     assert err.strip() == "error: peeling exceeded its round bound"
+
+
+DEEP_INPUTS = {
+    ".adf": "s(a). ac(a," + "neg(" * 1200 + "a" + ")" * 1200 + ").",
+    ".bnet": "targets, factors\na, " + "!" * 1200 + "a\n",
+}
+
+
+@pytest.mark.parametrize(
+    "suffix, command", [(".adf", "solve"), (".bnet", "solve"), (".adf", "convert")]
+)
+def test_deep_nesting_exits_with_limit_code(tmp_path, suffix, command):
+    # a fresh process, so the recursion limit is Python's default
+    path = tmp_path / ("deep" + suffix)
+    path.write_text(DEEP_INPUTS[suffix])
+    args = ["--sem", "2v"] if command == "solve" else ["--format", "bnet"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "adfsolve", command, str(path), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
 
 
 def test_bad_budget_env(capsys, tmp_path, monkeypatch, example_path):

@@ -190,9 +190,9 @@ def test_peel_minimal_matches_brute_force():
             for p in range(1 << nvars):
                 if any((p >> 2 * i) & 3 == 0 for i in range(nvars // 2)):
                     table[p] = False
-            indicators = [man.var(2 * i) & man.var(2 * i + 1) for i in range(nvars // 2)]
+            bound = nvars // 2 + 1
         else:
-            indicators = [man.var(v) for v in range(nvars)]
+            bound = nvars + 1
         work = man.false
         for p, member in enumerate(table):
             if member:
@@ -200,7 +200,7 @@ def test_peel_minimal_matches_brute_force():
                 for v in range(nvars):
                     cube = cube & (man.var(v) if (p >> v) & 1 else man.nvar(v))
                 work = work | cube
-        found, rounds = peel_minimal(work, indicators, list(range(nvars)))
+        found, rounds = peel_minimal(work, list(range(nvars)))
         members = [p for p in range(1 << nvars) if table[p]]
         minimal = {p for p in members if not any(q != p and q & p == q for q in members)}
         got = {
@@ -209,7 +209,7 @@ def test_peel_minimal_matches_brute_force():
             if found.evaluate([bool((p >> v) & 1) for v in range(nvars)])
         }
         assert got == minimal
-        assert rounds <= len(indicators) + 1
+        assert rounds <= bound
 
 
 def test_attack_tails_declared_last_first_match_oracle():
@@ -236,6 +236,43 @@ def test_grounded_cube_on_long_chain_stays_linear():
     grd = solve(alternating_chain(n), "grd")
     assert count(grd) == 1
     assert len(grd.layout.manager._nodes) < 10 * n
+
+
+def test_stable_on_long_chain_stays_linear():
+    n = 1000
+    stb = solve(alternating_chain(n), "stb")
+    assert count(stb) == 1
+    assert len(stb.layout.manager._nodes) < 100 * n
+
+
+def renamed(formula, suffix):
+    """``formula`` with ``suffix`` appended to every argument name."""
+    if isinstance(formula, Var):
+        return Var(formula.name + suffix)
+    if isinstance(formula, Not):
+        return Not(renamed(formula.child, suffix))
+    return type(formula)(renamed(formula.left, suffix), renamed(formula.right, suffix))
+
+
+def test_attack_tail_union_past_oracle_cap():
+    # 70 arguments: the counts of a disjoint union multiply, and the weight
+    # classes the peel walks through do not depend on the declaration order
+    names, conditions = [], []
+    expected = {"prf": 1, "stb": 1}
+    components = [(tail, self_attack) for tail in range(7) for self_attack in (False, True)]
+    for j, (tail, self_attack) in enumerate(components):
+        part = attack_with_tail(tail, self_attack)
+        names += [name + f"_{j}" for name in part.arguments]
+        conditions += [renamed(c, f"_{j}") for c in part.conditions]
+        for sem in expected:
+            expected[sem] *= len(brute_semantics(part, sem))
+    forward = Adf(tuple(names), tuple(conditions))
+    backward = Adf(tuple(reversed(names)), tuple(reversed(conditions)))
+    assert forward.n == 70
+    for sem, total in expected.items():
+        there, back = solve(forward, sem), solve(backward, sem)
+        assert count(there) == count(back) == total
+        assert there.iterations == back.iterations
 
 
 def test_chain_inclusions_symbolic():
