@@ -8,10 +8,9 @@ represent the same Boolean function exactly when their root integers are
 equal.
 
 Besides the usual binary operators, quantification and model counting,
-the manager provides the two set primitives the solver's peeling needs:
-the lightest members of a set (those with the fewest true variables
-among a given group), and the monotone upward closure of a set under
-bitwise inclusion.
+the manager provides two set primitives: the monotone upward closure of a
+set under bitwise inclusion over a given group of variables, and, built
+on it in one pass, the minimal members of a set under that inclusion.
 
 A manager and every diagram it owns belong to a single thread; distinct
 managers are fully independent.
@@ -102,10 +101,6 @@ class BddManager:
         self._claim(a)
         self._claim(b)
         return Bdd(self, self._apply(code, a.root, b.root))
-
-    def negate(self, a: "Bdd") -> "Bdd":
-        self._claim(a)
-        return Bdd(self, self._not(a.root))
 
     def _claim(self, f: "Bdd") -> None:
         if f.manager is not self:
@@ -336,54 +331,48 @@ class BddManager:
 
     # -- specialty operations --------------------------------------------
 
-    def lightest(self, f: "Bdd", over: Iterable[int]) -> tuple["Bdd", int]:
-        """The members of ``f`` with the fewest true ``over`` variables.
+    def minimal(self, f: "Bdd", over: Iterable[int]) -> "Bdd":
+        """The members of ``f`` minimal under bitwise inclusion over ``over``.
 
-        Returns that subset of ``f`` together with its number of true
-        ``over`` variables (the *weight*); raises :class:`BddError` when
-        ``f`` is unsatisfiable.  A bottom-up pass gives each node the least
-        weight below it; a memoized rebuild keyed by (node, next ``over``
-        level) keeps the branches that reach it and sets false every
-        ``over`` level a kept path skips, since setting it true adds weight.
+        A member is dropped when another member agrees with it outside
+        ``over`` and has its true ``over`` positions strictly contained in
+        its own.  One memoized pass keyed by (node, index of the next
+        ``over`` level) builds every assignment strictly above a member:
+        where an ``over`` variable is true the strict step may be taken,
+        and below that step the upward closure of the low branch suffices.
         """
         self._claim(f)
         levels = sorted(set(over))
         for v in levels:
             self._check_level(v)
-        if f.root == 0:
-            raise BddError("an unsatisfiable function has no lightest members")
+        over_set = frozenset(levels)
+        top = max(levels, default=-1)
         nodes = self._nodes
-        after = {v: i + 1 for i, v in enumerate(levels)}  # index of the next over level
-        cost: dict[int, float] = {0: float("inf"), 1: 0}
-        for u in self._reachable(f.root):
-            if u > 1:
-                v, lo, hi = nodes[u]
-                cost[u] = min(cost[lo], cost[hi] + (v in after))
         memo: dict[tuple[int, int], int] = {}
 
-        def keep(u: int, j: int) -> int:
-            # the lightest members below u, with levels[j:] above u set false
+        def above(u: int, j: int) -> int:
+            # assignments strictly above a member of u over levels[j:]
             key = (u, j)
             result = memo.get(key)
             if result is not None:
                 return result
-            v = nodes[u][0]
+            v, lo, hi = nodes[u]
             if j < len(levels) and levels[j] < v:
-                result = self._mk(levels[j], keep(u, j + 1), 0)
-            elif u == 1:
-                result = 1
-            else:
-                _, lo, hi = nodes[u]
-                nxt = after.get(v, j)
+                result = self._mk(levels[j], above(u, j + 1), self._up(u, over_set, top))
+            elif u < 2:
+                result = 0
+            elif v in over_set:
                 result = self._mk(
                     v,
-                    keep(lo, nxt) if cost[lo] == cost[u] else 0,
-                    keep(hi, nxt) if cost[hi] + (v in after) == cost[u] else 0,
+                    above(lo, j + 1),
+                    self._apply(_OR, above(hi, j + 1), self._up(lo, over_set, top)),
                 )
+            else:
+                result = self._mk(v, above(lo, j), above(hi, j))
             memo[key] = result
             return result
 
-        return Bdd(self, keep(f.root, 0)), int(cost[f.root])
+        return Bdd(self, self._apply(_AND, f.root, self._not(above(f.root, 0))))
 
     def upward_closure(self, f: "Bdd", over: Iterable[int]) -> "Bdd":
         """Close the satisfying set of ``f`` upward under bitwise inclusion.

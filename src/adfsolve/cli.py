@@ -8,9 +8,8 @@ stdout; diagnostics and timing stay on stderr so stdout remains
 machine-readable.
 
 Exit codes: 0 success, 1 input or usage error, 2 resource-limit abort
-(the xor-elimination budget, overridable via ``BASS_NODE_BUDGET``, a
-condition nested past the recursion limit, or a peeling round whose slice
-weight fails to grow).
+(the xor-elimination budget, overridable via ``BASS_NODE_BUDGET``, or a
+condition nested past the recursion limit).
 """
 
 from __future__ import annotations
@@ -113,7 +112,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
     started = time.perf_counter()
     try:
         solset = semantics.solve(adf, config.semantics, restrict_inputs=config.restrict_inputs)
-    except RuntimeError as exc:  # a peel whose weight fails to grow, or RecursionError
+    except RuntimeError as exc:  # RecursionError from a condition nested too deeply
         print(f"error: {exc}", file=err)
         return EXIT_LIMIT
 

@@ -10,22 +10,17 @@ interpretations satisfying the semantics, never an explicit enumeration:
 * complete: admissible plus ``(top & bot) -> (top_fn & bot_fn)``;
 * grounded: iterate the characteristic operator from the all-unknown
   interpretation to its least fixed point;
-* preferred: peel the complete set by number of true dual variables
-  (on valid pairs, n plus the number of unknowns), from fewest to most,
-  discarding every weakening of what was already collected;
-* stable: reduce the two-valued set to candidates minimal in their true
-  arguments, then drop every candidate with a nonempty unfounded set of
+* preferred: the members of the complete set minimal in their true dual
+  variables, i.e. those no other complete interpretation refines;
+* stable: drop every two-valued model with a nonempty unfounded set of
   true arguments, found by one conjunction over the dual variables and
   one projection.
 
 Per-argument clauses are conjoined by ``BddManager.conjoin``: one fold,
 from the clause with the deepest top variable upward, so the accumulator
-grows up the interleaved layout.  Preferred and stable share one peeling
-primitive, ``peel_minimal``: each round takes the lightest slice of what is
-left (``BddManager.lightest``) and drops its upward closure.  The slice
-weight must grow every round, and it ranges over n + 1 values (0..n true
-arguments for stb, n..2n true dual variables for prf), so a peel stops
-within ``n + 1`` rounds.
+grows up the interleaved layout.  The preferred set is taken in one pass
+by ``BddManager.minimal`` and the stable set by one unfounded-set check,
+so ``iterations`` reads 1 for both.
 """
 
 from __future__ import annotations
@@ -139,34 +134,10 @@ def grounded_set(adf: Adf, layout: VarLayout) -> SolutionSet:
     return SolutionSet(cube, layout, "dual", "grd")
 
 
-def peel_minimal(work: Bdd, over: list[int]) -> tuple[Bdd, int]:
-    """Members of ``work`` minimal under bitwise inclusion over ``over``.
-
-    Each round moves the lightest members of ``work`` (fewest true
-    ``over`` variables) to the result and drops their upward closure from
-    ``work``.  A member strictly below a lightest one is lighter, so it
-    has already left ``work`` above an earlier slice, and the lightest one
-    would have left with it: every slice is minimal.  The weight must grow
-    every round, so there are at most ``len(over) + 1`` rounds.  Returns
-    the members and the round count.
-    """
-    man = work.manager
-    found = man.false
-    rounds, last = 0, -1
-    while not work.is_false:
-        slice_, weight = man.lightest(work, over)
-        if weight <= last:
-            raise RuntimeError("peeling did not raise the weight of its slice")
-        found = found | slice_
-        work = work & ~man.upward_closure(slice_, over)
-        rounds, last = rounds + 1, weight
-    return found, rounds
-
-
 def preferred(complete_set: SolutionSet, layout: VarLayout) -> SolutionSet:
     """Maximally refined members of the complete set: refining clears dual bits."""
-    found, rounds = peel_minimal(complete_set.bdd, layout.dual_vars)
-    return SolutionSet(found, layout, "dual", "prf", iterations=rounds)
+    found = layout.manager.minimal(complete_set.bdd, layout.dual_vars)
+    return SolutionSet(found, layout, "dual", "prf", iterations=1)
 
 
 def stable(
@@ -176,25 +147,25 @@ def stable(
 ) -> SolutionSet:
     """Two-valued models whose true arguments are all well-founded.
 
-    The candidates are the models minimal in their true arguments.  A
-    candidate with true set ``T`` is stable exactly when no nonempty
-    ``U`` within ``T`` is *unfounded*: under ``sigma_U`` (``U`` unknown,
-    the rest of ``T`` true, everything else false) the operator forces no
-    argument of ``U`` true.  If the candidate is not stable, take ``G``
-    the grounded interpretation of its reduct and ``U`` the arguments of
-    ``T`` that ``G`` leaves not true: ``sigma_U`` is below ``G`` in the
-    information order, so an argument of ``U`` forced true there would be
-    true in the fixed point ``G``.  If it is stable, the reduct's grounding
-    iteration makes all of ``U`` true; the first step that sets an
-    argument of ``U`` starts from a state below ``sigma_U``, so that
-    argument is forced true under ``sigma_U`` and ``U`` is not unfounded.
+    A two-valued model with true set ``T`` is stable exactly when no
+    nonempty ``U`` within ``T`` is *unfounded*: under ``sigma_U`` (``U``
+    unknown, the rest of ``T`` true, everything else false) the operator
+    forces no argument of ``U`` true.  If the model is not stable, take
+    ``G`` the grounded interpretation of its reduct and ``U`` the
+    arguments of ``T`` that ``G`` leaves not true: ``sigma_U`` is below
+    ``G`` in the information order, so an argument of ``U`` forced true
+    there would be true in the fixed point ``G``.  If it is stable, the
+    reduct's grounding iteration makes all of ``U`` true; the first step
+    that sets an argument of ``U`` starts from a state below ``sigma_U``,
+    so that argument is forced true under ``sigma_U`` and ``U`` is not
+    unfounded.
     """
     man = layout.manager
     literals = [man.var(layout.direct(i)) for i in range(layout.n)]
-    candidates, rounds = peel_minimal(two_valued_set.bdd, layout.direct_vars)
+    tv = two_valued_set.bdd
 
     # unstable: some sigma_U with U nonempty forces no argument of U true
-    clauses, not_star = [candidates], []
+    clauses, not_star = [tv], []
     for i, s in enumerate(literals):
         top = man.var(layout.top(i))
         bot = man.var(layout.bot(i))
@@ -204,7 +175,7 @@ def stable(
         not_star.append(~star)
     clauses.append(~man.conjoin(not_star))
     unstable = man.conjoin(clauses).exists(layout.dual_vars)
-    return SolutionSet(candidates & ~unstable, layout, "direct", "stb", iterations=rounds)
+    return SolutionSet(tv & ~unstable, layout, "direct", "stb", iterations=1)
 
 
 def restrict_free_inputs(solset: SolutionSet, adf: Adf, mode: str) -> SolutionSet:

@@ -218,26 +218,30 @@ def test_criterion_5_specialty_operations():
             expr = expr | cube
         return expr
 
-    # lightest members: fewest true variables among a random subset
+    # minimal members: none strictly above another over a random subset
     for _ in range(200):
         nvars = rng.randint(1, 10)
         man = BddManager(nvars)
         f = random_table_bdd(man, nvars, density=False)
         over = [v for v in range(nvars) if rng.random() < 0.7]
-        weights = [sum((p >> v) & 1 for v in over) for p in range(1 << nvars)]
+        mask = sum(1 << v for v in over)
         sat = [
             p
             for p in range(1 << nvars)
             if f.evaluate([bool((p >> i) & 1) for i in range(nvars)])
         ]
-        best = min(weights[p] for p in sat)  # a cube is never empty
-        slice_, weight = man.lightest(f, over)
+        least = [
+            p
+            for p in sat
+            if not any(q != p and q & p == q and (p ^ q) & ~mask == 0 for q in sat)
+        ]
+        g = man.minimal(f, over)
         got = [
             p
             for p in range(1 << nvars)
-            if slice_.evaluate([bool((p >> i) & 1) for i in range(nvars)])
+            if g.evaluate([bool((p >> i) & 1) for i in range(nvars)])
         ]
-        if weight != best or got != [p for p in sat if weights[p] == best]:
+        if got != least:
             failures += 1
 
     # upward closure
@@ -264,7 +268,7 @@ def test_criterion_5_specialty_operations():
     report(
         5,
         failures == 0,
-        f"two set primitives (lightest members, upward closure) match brute "
+        f"two set primitives (minimal members, upward closure) match brute "
         f"force on 200 functions each "
         f"({failures} failures)",
     )

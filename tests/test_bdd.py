@@ -235,22 +235,22 @@ def test_sat_count_inclusion_exclusion():
         ) + g.sat_count(over)
 
 
-def test_lightest_trivial():
+def test_minimal_trivial():
     man = BddManager(3)
+    assert man.minimal(man.false, [0, 1, 2]).is_false
     with pytest.raises(BddError):
-        man.lightest(man.false, [0, 1, 2])
-    with pytest.raises(BddError):
-        man.lightest(man.true, [3])
+        man.minimal(man.true, [3])
     x = [man.var(i) for i in range(3)]
-    assert man.lightest(man.true, [0, 1, 2]) == (~x[0] & ~x[1] & ~x[2], 0)
-    assert man.lightest(man.true, []) == (man.true, 0)
+    assert man.minimal(man.true, [0, 1, 2]) == ~x[0] & ~x[1] & ~x[2]
+    assert man.minimal(man.true, []) == man.true
     f = x[0] | (x[1] & x[2])
-    assert man.lightest(f, [0, 1, 2]) == (x[0] & ~x[1] & ~x[2], 1)
-    assert man.lightest(f, [1, 2]) == (x[0] & ~x[1] & ~x[2], 0)
-    assert man.lightest(f, [0]) == (~x[0] & x[1] & x[2], 0)
+    assert man.minimal(f, []) == f
+    assert man.minimal(f, [0, 1, 2]) == (x[0] & ~x[1] & ~x[2]) | (~x[0] & x[1] & x[2])
+    assert man.minimal(f, [1, 2]) == (x[0] & ~x[1] & ~x[2]) | (~x[0] & x[1] & x[2])
+    assert man.minimal(f, [0]) == (~x[0] & x[1] & x[2]) | (x[0] & ~(x[1] & x[2]))
 
 
-def test_lightest_matches_brute_force():
+def test_minimal_matches_brute_force():
     rng = random.Random(31)
     for trial in range(200):
         nvars = rng.randint(1, 8)
@@ -265,18 +265,13 @@ def test_lightest_matches_brute_force():
             over = sorted(rng.sample(range(nvars), rng.randint(0, nvars)))
         else:
             over = list(range(nvars))
+        mask = sum(1 << v for v in over)
         table = table_of_expr(expr, nvars)
-        weights = [sum((p >> v) & 1 for v in over) for p in range(1 << nvars)]
         sat = [p for p in range(1 << nvars) if table[p]]
-        if not sat:
-            with pytest.raises(BddError):
-                man.lightest(f, over)
-            continue
-        best = min(weights[p] for p in sat)
-        slice_, weight = man.lightest(f, over)
-        assert weight == best
-        assert table_of_bdd(slice_, nvars) == [
-            table[p] and weights[p] == best for p in range(1 << nvars)
+        # q is strictly below p: a proper subset of p's bits, differing only on over
+        below = {p for p in sat for q in sat if q != p and q & p == q and (p ^ q) & ~mask == 0}
+        assert table_of_bdd(man.minimal(f, over), nvars) == [
+            table[p] and p not in below for p in range(1 << nvars)
         ]
         man.validate()
 

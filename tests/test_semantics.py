@@ -16,7 +16,6 @@ from adfsolve.semantics import (
     embed_two_valued,
     grounded,
     grounded_set,
-    peel_minimal,
     preferred,
     restrict_free_inputs,
     solve,
@@ -190,9 +189,6 @@ def test_peel_minimal_matches_brute_force():
             for p in range(1 << nvars):
                 if any((p >> 2 * i) & 3 == 0 for i in range(nvars // 2)):
                     table[p] = False
-            bound = nvars // 2 + 1
-        else:
-            bound = nvars + 1
         work = man.false
         for p, member in enumerate(table):
             if member:
@@ -200,7 +196,7 @@ def test_peel_minimal_matches_brute_force():
                 for v in range(nvars):
                     cube = cube & (man.var(v) if (p >> v) & 1 else man.nvar(v))
                 work = work | cube
-        found, rounds = peel_minimal(work, list(range(nvars)))
+        found = man.minimal(work, list(range(nvars)))
         members = [p for p in range(1 << nvars) if table[p]]
         minimal = {p for p in members if not any(q != p and q & p == q for q in members)}
         got = {
@@ -209,7 +205,6 @@ def test_peel_minimal_matches_brute_force():
             if found.evaluate([bool((p >> v) & 1) for v in range(nvars)])
         }
         assert got == minimal
-        assert rounds <= bound
 
 
 def test_attack_tails_declared_last_first_match_oracle():
@@ -254,25 +249,46 @@ def renamed(formula, suffix):
     return type(formula)(renamed(formula.left, suffix), renamed(formula.right, suffix))
 
 
-def test_attack_tail_union_past_oracle_cap():
-    # 70 arguments: the counts of a disjoint union multiply, and the weight
-    # classes the peel walks through do not depend on the declaration order
+def attack_tail_union(copies):
+    """``copies`` of the 14 ``attack_with_tail`` components (tails 0-6, both
+    kinds), renamed apart into one disjoint union; returns it and its parts."""
+    parts = [
+        attack_with_tail(tail, self_attack)
+        for _ in range(copies)
+        for tail in range(7)
+        for self_attack in (False, True)
+    ]
     names, conditions = [], []
-    expected = {"prf": 1, "stb": 1}
-    components = [(tail, self_attack) for tail in range(7) for self_attack in (False, True)]
-    for j, (tail, self_attack) in enumerate(components):
-        part = attack_with_tail(tail, self_attack)
+    for j, part in enumerate(parts):
         names += [name + f"_{j}" for name in part.arguments]
         conditions += [renamed(c, f"_{j}") for c in part.conditions]
+    return Adf(tuple(names), tuple(conditions)), parts
+
+
+def test_attack_tail_union_past_oracle_cap():
+    # 70 arguments: the counts of a disjoint union multiply, and reversing
+    # the declaration order keeps them
+    forward, parts = attack_tail_union(1)
+    expected = {"prf": 1, "stb": 1}
+    for part in parts:
         for sem in expected:
             expected[sem] *= len(brute_semantics(part, sem))
-    forward = Adf(tuple(names), tuple(conditions))
-    backward = Adf(tuple(reversed(names)), tuple(reversed(conditions)))
+    backward = Adf(tuple(reversed(forward.arguments)), tuple(reversed(forward.conditions)))
     assert forward.n == 70
     for sem, total in expected.items():
         there, back = solve(forward, sem), solve(backward, sem)
         assert count(there) == count(back) == total
         assert there.iterations == back.iterations
+
+
+def test_attack_tail_union_minimisation_stays_small():
+    # 140 arguments: prf and stb each leave fewer than 100 nodes per argument
+    adf, _ = attack_tail_union(2)
+    assert adf.n == 140
+    for sem, total in (("prf", 16384**2), ("stb", 256**2)):
+        solset = solve(adf, sem)
+        assert count(solset) == total
+        assert len(solset.layout.manager._nodes) < 100 * adf.n
 
 
 def test_chain_inclusions_symbolic():
@@ -304,9 +320,13 @@ def test_grid_inclusion_chain():
     tv = two_valued_models(adf, layout)
     com = complete(adf, layout)
     adm = admissible(adf, layout)
+    prf = preferred(com, layout)
+    stb = stable(tv, gamma_pairs(adf, layout), layout)
     elapsed = time.perf_counter() - started
     assert count(tv) > 0
-    assert embed_two_valued(tv, layout).bdd.implies(com.bdd).is_true
+    assert stb.bdd.implies(tv.bdd).is_true
+    assert embed_two_valued(tv, layout).bdd.implies(prf.bdd).is_true
+    assert prf.bdd.implies(com.bdd).is_true
     assert com.bdd.implies(adm.bdd).is_true
     assert elapsed < 60.0
 
