@@ -29,8 +29,6 @@ class BddError(Exception):
 # opcodes for the shared memo cache
 _AND, _OR, _XOR, _IMP, _IFF, _NOT, _EXISTS, _UP = range(8)
 
-_OPS = {"and": _AND, "or": _OR, "xor": _XOR, "imp": _IMP, "iff": _IFF}
-
 
 class BddManager:
     """Shared node store for diagrams over ``num_vars`` ordered variables."""
@@ -88,19 +86,6 @@ class BddManager:
         return found
 
     # -- operators ------------------------------------------------------
-
-    def apply(self, op: str, a: "Bdd", b: "Bdd") -> "Bdd":
-        """Combine two diagrams with a binary connective.
-
-        ``op`` is one of ``and``, ``or``, ``xor``, ``imp``, ``iff``.  Both
-        operands must live in this manager.
-        """
-        code = _OPS.get(op)
-        if code is None:
-            raise BddError(f"unknown operator {op!r}")
-        self._claim(a)
-        self._claim(b)
-        return Bdd(self, self._apply(code, a.root, b.root))
 
     def _claim(self, f: "Bdd") -> None:
         if f.manager is not self:

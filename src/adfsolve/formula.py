@@ -303,8 +303,8 @@ def _write_functional(formula: Formula) -> str:
         return "c(v)" if formula.value else "c(f)"
     if isinstance(formula, Not):
         return f"neg({_write_functional(formula.child)})"
-    tag = {And: "and", Or: "or", Imp: "imp", Iff: "iff", Xor: "xor"}[type(formula)]
-    return f"{tag}({_write_functional(formula.left)},{_write_functional(formula.right)})"
+    connective = {And: "and", Or: "or", Imp: "imp", Iff: "iff", Xor: "xor"}[type(formula)]
+    return f"{connective}({_write_functional(formula.left)},{_write_functional(formula.right)})"
 
 
 def write_adf(adf: Adf) -> str:

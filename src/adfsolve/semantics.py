@@ -53,7 +53,6 @@ class SolutionSet:
     bdd: Bdd
     layout: VarLayout
     kind: str
-    tag: str
     iterations: int | None = None
 
     def variables(self) -> list[int]:
@@ -69,7 +68,7 @@ def two_valued_models(adf: Adf, layout: VarLayout) -> SolutionSet:
         man.var(layout.direct(i)).iff(formula_to_bdd(condition, layout))
         for i, condition in enumerate(adf.conditions)
     ]
-    return SolutionSet(man.conjoin(clauses), layout, "direct", "2v")
+    return SolutionSet(man.conjoin(clauses), layout, "direct")
 
 
 def admissible(adf: Adf, layout: VarLayout) -> SolutionSet:
@@ -81,7 +80,7 @@ def admissible(adf: Adf, layout: VarLayout) -> SolutionSet:
         bot = man.var(layout.bot(i))
         clauses.append(top | bot)
         clauses.append(pair.top_fn.implies(top) & pair.bot_fn.implies(bot))
-    return SolutionSet(man.conjoin(clauses), layout, "dual", "adm")
+    return SolutionSet(man.conjoin(clauses), layout, "dual")
 
 
 def complete(adf: Adf, layout: VarLayout) -> SolutionSet:
@@ -97,7 +96,7 @@ def complete(adf: Adf, layout: VarLayout) -> SolutionSet:
             & pair.bot_fn.implies(bot)
             & (top & bot).implies(pair.top_fn & pair.bot_fn)
         )
-    return SolutionSet(man.conjoin(clauses), layout, "dual", "com")
+    return SolutionSet(man.conjoin(clauses), layout, "dual")
 
 
 def grounded(adf: Adf, layout: VarLayout) -> Interpretation:
@@ -131,13 +130,13 @@ def interpretation_cube(interp: Interpretation, layout: VarLayout) -> Bdd:
 def grounded_set(adf: Adf, layout: VarLayout) -> SolutionSet:
     """The grounded interpretation as a singleton dual-variable set."""
     cube = interpretation_cube(grounded(adf, layout), layout)
-    return SolutionSet(cube, layout, "dual", "grd")
+    return SolutionSet(cube, layout, "dual")
 
 
 def preferred(complete_set: SolutionSet, layout: VarLayout) -> SolutionSet:
     """Maximally refined members of the complete set: refining clears dual bits."""
     found = layout.manager.minimal(complete_set.bdd, layout.dual_vars)
-    return SolutionSet(found, layout, "dual", "prf", iterations=1)
+    return SolutionSet(found, layout, "dual", iterations=1)
 
 
 def stable(
@@ -175,7 +174,7 @@ def stable(
         not_star.append(~star)
     clauses.append(~man.conjoin(not_star))
     unstable = man.conjoin(clauses).exists(layout.dual_vars)
-    return SolutionSet(tv & ~unstable, layout, "direct", "stb", iterations=1)
+    return SolutionSet(tv & ~unstable, layout, "direct", iterations=1)
 
 
 def restrict_free_inputs(solset: SolutionSet, adf: Adf, mode: str) -> SolutionSet:
@@ -188,19 +187,15 @@ def restrict_free_inputs(solset: SolutionSet, adf: Adf, mode: str) -> SolutionSe
     """
     layout = solset.layout
     man = layout.manager
-    free = adf.free_inputs()
-    if not free:
-        return solset
-    bdd = solset.bdd
-    for name in free:
-        i = layout.index(name)
-        if mode == "preferred":
-            bdd = bdd & ~(man.var(layout.top(i)) & man.var(layout.bot(i)))
-        elif mode == "stable":
-            bdd = bdd & man.nvar(layout.direct(i))
-        else:
-            raise ValueError(f"unknown restriction mode {mode!r}")
-    return SolutionSet(bdd, layout, solset.kind, solset.tag, solset.iterations)
+    free = [layout.index(name) for name in adf.free_inputs()]
+    if mode == "preferred":
+        clauses = [man.nvar(layout.top(i)) | man.nvar(layout.bot(i)) for i in free]
+    elif mode == "stable":
+        clauses = [man.nvar(layout.direct(i)) for i in free]
+    else:
+        raise ValueError(f"unknown restriction mode {mode!r}")
+    bdd = man.conjoin([solset.bdd] + clauses)
+    return SolutionSet(bdd, layout, solset.kind, solset.iterations)
 
 
 def embed_two_valued(solset: SolutionSet, layout: VarLayout) -> SolutionSet:
@@ -213,13 +208,12 @@ def embed_two_valued(solset: SolutionSet, layout: VarLayout) -> SolutionSet:
         bot = man.var(layout.bot(i))
         clauses.append(s.implies(top & ~bot) & (~s).implies(~top & bot))
     embedded = man.conjoin(clauses).exists(layout.direct_vars)
-    return SolutionSet(embedded, layout, "dual", solset.tag, solset.iterations)
+    return SolutionSet(embedded, layout, "dual", solset.iterations)
 
 
 def solve(
     adf: Adf,
     semantics: str,
-    restrict_inputs: bool = True,
     layout: VarLayout | None = None,
 ) -> SolutionSet:
     """Compute the full solution set of one semantics for one model."""
@@ -234,13 +228,9 @@ def solve(
     if semantics == "grd":
         return grounded_set(adf, layout)
     if semantics == "prf":
-        base = complete(adf, layout)
-        if restrict_inputs:
-            base = restrict_free_inputs(base, adf, "preferred")
+        base = restrict_free_inputs(complete(adf, layout), adf, "preferred")
         return preferred(base, layout)
     if semantics == "stb":
-        base = two_valued_models(adf, layout)
-        if restrict_inputs:
-            base = restrict_free_inputs(base, adf, "stable")
+        base = restrict_free_inputs(two_valued_models(adf, layout), adf, "stable")
         return stable(base, gamma_pairs(adf, layout), layout)
     raise ValueError(f"unknown semantics {semantics!r}")

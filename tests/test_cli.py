@@ -158,17 +158,6 @@ def test_oracle_flag(capsys, example_path):
     assert "oracle check passed" in err
 
 
-def test_no_input_restriction_flag(capsys, tmp_path):
-    path = tmp_path / "free.adf"
-    path.write_text("s(a). s(b). ac(a,a). ac(b,neg(a)).")
-    code, out, _ = run_cli(capsys, "solve", "--sem", "stb", "--enumerate", str(path))
-    assert code == 0
-    code, out2, _ = run_cli(
-        capsys, "solve", "--sem", "stb", "--enumerate", "--no-input-restriction", str(path)
-    )
-    assert out == out2
-
-
 def test_convert_to_bnet(capsys, example_path):
     code, out, _ = run_cli(capsys, "convert", "--format", "bnet", example_path)
     assert code == 0
@@ -217,18 +206,19 @@ def test_convert_counts_on_random_models(capsys, tmp_path):
             assert a == b
 
 
-def test_xor_budget_abort_exit_code(capsys, tmp_path, monkeypatch):
-    chain = "a"
-    for _ in range(12):
-        chain = f"xor({chain},a)"
-    path = tmp_path / "deep.adf"
-    path.write_text(f"s(a). ac(a,{chain}).")
-    monkeypatch.setenv("BASS_NODE_BUDGET", "50")
-    code, _, err = run_cli(capsys, "convert", "--format", "bnet", str(path))
+def test_xor_budget_abort_exit_code(capsys, tmp_path):
+    def xor_chain(depth):
+        chain = "a"
+        for _ in range(depth):
+            chain = f"xor({chain},a)"
+        path = tmp_path / f"xor{depth}.adf"
+        path.write_text(f"s(a). ac(a,{chain}).")
+        return str(path)
+
+    code, _, err = run_cli(capsys, "convert", "--format", "bnet", xor_chain(20))
     assert code == 2
     assert "'a'" in err and "budget" in err
-    monkeypatch.setenv("BASS_NODE_BUDGET", "1000000")
-    code, out, _ = run_cli(capsys, "convert", "--format", "bnet", str(path))
+    code, out, _ = run_cli(capsys, "convert", "--format", "bnet", xor_chain(12))
     assert code == 0
     assert out.count("&") > 0
 
@@ -236,13 +226,13 @@ def test_xor_budget_abort_exit_code(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("error", [RuntimeError, RecursionError])
 def test_round_bound_abort_exit_code(capsys, monkeypatch, example_path, error):
     def exceed(*args, **kwargs):
-        raise error("peeling exceeded its round bound")
+        raise error("solver exceeded its limit")
 
     monkeypatch.setattr("adfsolve.semantics.solve", exceed)
     code, out, err = run_cli(capsys, "solve", "--sem", "prf", "--count", example_path)
     assert code == 2
     assert out == ""
-    assert err.strip() == "error: peeling exceeded its round bound"
+    assert err.strip() == "error: solver exceeded its limit"
 
 
 DEEP_INPUTS = {
@@ -272,14 +262,58 @@ def test_deep_nesting_exits_with_limit_code(tmp_path, suffix, command):
     assert "Traceback" not in result.stderr
 
 
-def test_bad_budget_env(capsys, tmp_path, monkeypatch, example_path):
-    monkeypatch.setenv("BASS_NODE_BUDGET", "zero")
-    code, _, err = run_cli(capsys, "convert", "--format", "bnet", example_path)
-    assert code == 1
-    assert "BASS_NODE_BUDGET" in err
-
-
 def test_limit_requires_enumerate(capsys, example_path):
     code, _, err = run_cli(capsys, "solve", "--sem", "adm", "--limit", "2", example_path)
     assert code == 1
     assert "--limit" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--enumerate", "--limit", "0"], "--limit needs a positive count"),
+        (["--sample", "0"], "--sample needs a positive count"),
+    ],
+)
+def test_nonpositive_count_exit_code(capsys, example_path, flags, message):
+    code, out, err = run_cli(capsys, "solve", "--sem", "adm", *flags, example_path)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_sample_from_empty_set_exit_code(capsys, tmp_path):
+    path = tmp_path / "odd.adf"
+    path.write_text("s(a). ac(a,neg(a)).")
+    code, out, err = run_cli(capsys, "solve", "--sem", "stb", "--sample", "3", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: cannot sample from an empty solution set\n"
+
+
+def test_oracle_cap_exit_code(capsys, tmp_path):
+    names = [f"x{i}" for i in range(14)]
+    path = tmp_path / "wide.adf"
+    path.write_text(" ".join(f"s({n}). ac({n},{n})." for n in names))
+    code, out, err = run_cli(capsys, "solve", "--sem", "2v", "--oracle", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: 14 arguments exceed the brute-force cap of 12\n"
+
+
+def test_oracle_mismatch_exit_code(capsys, monkeypatch, example_path):
+    monkeypatch.setattr("adfsolve.oracle.brute_semantics", lambda adf, sem: set())
+    code, out, err = run_cli(capsys, "solve", "--sem", "prf", "--oracle", example_path)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: oracle mismatch for prf: symbolic 2 vs reference 0 interpretations\n"
+    )
+
+
+def test_missing_file_is_read_before_its_format_is_detected(capsys, tmp_path):
+    missing = str(tmp_path / "absent.txt")
+    code, out, err = run_cli(capsys, "solve", "--sem", "adm", missing)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read {missing}: ")

@@ -27,7 +27,14 @@ from conftest import EXAMPLE_ADF, grid_adf, random_adf, random_adf_with_free_inp
 
 
 def solved_set(adf, sem, restrict=True):
-    return set(enumerate_solutions(solve(adf, sem, restrict_inputs=restrict)))
+    if restrict:
+        return set(enumerate_solutions(solve(adf, sem)))
+    layout = VarLayout.for_adf(adf)
+    if sem == "prf":
+        solset = preferred(complete(adf, layout), layout)
+    else:
+        solset = stable(two_valued_models(adf, layout), gamma_pairs(adf, layout), layout)
+    return set(enumerate_solutions(solset))
 
 
 def alternating_chain(n):
