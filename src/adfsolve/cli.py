@@ -11,13 +11,15 @@ Each subcommand is one function of the parsed arguments, and ``main``
 alone maps exceptions to exit codes: 0 success, 1 input or usage error,
 2 resource-limit abort (the xor-elimination budget of
 ``formula.DEFAULT_NODE_BUDGET`` nodes, or a condition nested past the
-recursion limit).
+recursion limit).  A reader that closes stdout early (``| head``) ends
+the run with exit code 1 and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -105,8 +107,7 @@ def _solve(args: argparse.Namespace) -> None:
         payload["elapsed_ms"] = round(elapsed_ms, 3)
         print(json.dumps(payload))
     elif listed is not None:
-        for interp in listed:
-            print(interp.format_line())
+        sys.stdout.writelines([interp.format_line() + "\n" for interp in listed])
     else:
         print(total)
 
@@ -171,6 +172,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         args.handler(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader closed stdout; the recipe from the "Note on SIGPIPE" in
+        # the signal module docs: point stdout at devnull so that the final
+        # flush cannot fail again, and exit 1 as Python does on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_INPUT
     except (InputError, fmt.ParseError, fmt.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -31,6 +31,9 @@ class EncodingError(Exception):
     """Invalid interpretation encoding or misplaced variables."""
 
 
+_TRUTH_VALUES = frozenset(("0", "1", "*"))
+
+
 @dataclass(frozen=True)
 class Interpretation:
     """Three-valued assignment over named arguments; values are '1', '0', '*'."""
@@ -41,9 +44,9 @@ class Interpretation:
     def __post_init__(self):
         if len(self.names) != len(self.values):
             raise EncodingError("names and values differ in length")
-        for v in self.values:
-            if v not in ("0", "1", "*"):
-                raise EncodingError(f"invalid truth value {v!r}")
+        if not _TRUTH_VALUES.issuperset(self.values):
+            bad = next(v for v in self.values if v not in _TRUTH_VALUES)
+            raise EncodingError(f"invalid truth value {bad!r}")
 
     def __getitem__(self, name: str) -> str:
         return self.values[self.names.index(name)]
@@ -62,7 +65,7 @@ class Interpretation:
         return dict(zip(self.names, self.values))
 
     def format_line(self) -> str:
-        return " ".join(f"{n}:{v}" for n, v in zip(self.names, self.values))
+        return " ".join(map(":".join, zip(self.names, self.values)))
 
 
 class VarLayout:
@@ -213,27 +216,23 @@ def validity_constraint(layout: VarLayout) -> Bdd:
     return man.conjoin(clauses)
 
 
+# (top, bot) -> value; the invalid (0,0) pair is missing on purpose
+_DUAL_VALUE = {(True, False): "1", (False, True): "0", (True, True): "*"}
+
+
 def decode(valuation, layout: VarLayout, kind: Kind) -> Interpretation:
     """Read an interpretation back out of a satisfying valuation."""
-    values = []
+    end = 3 * layout.n
     if kind == "direct":
-        for i in range(layout.n):
-            values.append("1" if valuation[layout.direct(i)] else "0")
+        values = tuple(map("01".__getitem__, valuation[0:end:3]))
     elif kind == "dual":
-        for i in range(layout.n):
-            top = valuation[layout.top(i)]
-            bot = valuation[layout.bot(i)]
-            if top and bot:
-                values.append("*")
-            elif top:
-                values.append("1")
-            elif bot:
-                values.append("0")
-            else:
-                raise EncodingError(f"invalid (0,0) dual pair for argument {layout.names[i]!r}")
+        values = tuple(map(_DUAL_VALUE.get, zip(valuation[1:end:3], valuation[2:end:3])))
+        if None in values:
+            name = layout.names[values.index(None)]
+            raise EncodingError(f"invalid (0,0) dual pair for argument {name!r}")
     else:
         raise EncodingError(f"cannot decode kind {kind!r}")
-    return Interpretation(layout.names, tuple(values))
+    return Interpretation(layout.names, values)
 
 
 def encode_interpretation(interp: Interpretation, layout: VarLayout, kind: Kind) -> list[bool]:

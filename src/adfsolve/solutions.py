@@ -4,6 +4,12 @@ All three answers are read off the set diagram directly.  Counting and
 sampling work with exact integer model counts per node, so counts stay
 correct beyond 64 bits and every sample is drawn from the exact uniform
 distribution over the set (no floating-point weights anywhere).
+
+Output is deterministic: enumeration visits false before true at every
+level, and sampling takes a fixed sequence of draws from
+``random.Random(seed)`` (one ``getrandbits(1)`` per level a path skips,
+in level order, and one ``randrange(total)`` per node it passes), so a
+seed reproduces its samples exactly.
 """
 
 from __future__ import annotations
@@ -24,8 +30,16 @@ def count(solset: SolutionSet) -> int:
 def enumerate_solutions(solset: SolutionSet, limit: int | None = None) -> Iterator[Interpretation]:
     """Yield distinct interpretations in lexicographic variable order.
 
-    False sorts before true at every level, so the order is deterministic
-    for a given layout.  ``limit`` truncates the stream.
+    False sorts before true at every level, and a level the diagram skips
+    branches both ways, so the order is deterministic for a given layout.
+    ``limit`` truncates the stream.
+
+    The walk is iterative: it descends along false branches, setting each
+    level of one shared valuation, and pushes the true branch of every
+    level it passes onto an explicit stack.  Reaching the last level yields
+    a solution; popping an entry sets its level true and descends again.
+    Each solution therefore costs the levels below its branch point, and no
+    generator frame per level.
     """
     if limit is not None and limit <= 0:
         raise ValueError("limit must be positive")
@@ -37,36 +51,43 @@ def enumerate_solutions(solset: SolutionSet, limit: int | None = None) -> Iterat
     for v in solset.bdd.support():
         if v not in level_set:
             raise BddError(f"set depends on variable {v} outside its kind")
+    u = solset.bdd.root
+    if u == 0:
+        return
+    kind = solset.kind
+    m = len(levels)
     remaining = limit
-
     valuation = [False] * man.num_vars
-
-    def walk(u: int, idx: int) -> Iterator[Interpretation]:
-        if idx == len(levels):
-            if u == 1:
-                yield decode(valuation, layout, solset.kind)
-            return
-        level = levels[idx]
-        var_u = nodes[u][0]
-        if var_u == level:
-            _, lo, hi = nodes[u]
-            branches = ((False, lo), (True, hi))
-        else:
-            # variable skipped by the diagram: both values lead on
-            branches = ((False, u), (True, u))
-        for value, child in branches:
-            if child == 0:
-                continue
-            valuation[level] = value
-            yield from walk(child, idx + 1)
-        valuation[level] = False
-
-    for interp in walk(solset.bdd.root, 0):
-        yield interp
+    # (index into levels, node reached by setting that level true)
+    stack: list[tuple[int, int]] = []
+    idx = 0
+    while True:
+        # every node but 0 of a reduced diagram reaches 1, so a path that
+        # never steps into 0 ends at 1 once every level is set
+        while idx < m:
+            level = levels[idx]
+            v, lo, hi = nodes[u]
+            if v != level:
+                lo = hi = u  # level skipped by the diagram: both values lead on
+            if lo:
+                if hi:
+                    stack.append((idx, hi))
+                valuation[level] = False
+                u = lo
+            else:
+                valuation[level] = True
+                u = hi
+            idx += 1
+        yield decode(valuation, layout, kind)
         if remaining is not None:
             remaining -= 1
             if remaining == 0:
                 return
+        if not stack:
+            return
+        idx, u = stack.pop()
+        valuation[levels[idx]] = True
+        idx += 1
 
 
 def sample_uniform(solset: SolutionSet, n: int, seed: int) -> list[Interpretation]:
@@ -74,8 +95,18 @@ def sample_uniform(solset: SolutionSet, n: int, seed: int) -> list[Interpretatio
 
     Each draw descends from the root picking branches with probability
     proportional to the exact model counts below, with a fair coin for
-    every variable the path skips.  The same seed over the same diagram
-    reproduces the same sequence.
+    every variable the path skips.
+
+    The draws from ``random.Random(seed)`` are fixed, which is what makes a
+    sequence reproducible: per sample, one ``getrandbits(1)`` for each
+    level the path skips, in level order, and at each node one draw equal
+    to ``randrange(total)``, where ``total`` is the node's model count, to
+    choose the false branch when it falls below the false branch's count.
+    The same seed over the same diagram reproduces the same sequence.
+
+    One table per node, built once from ``model_counts``, holds what a draw
+    reads: the node's level, children, false-branch weight, total and its
+    bit length, and the levels skipped on the way to either child.
     """
     if n <= 0:
         raise ValueError("sample size must be positive")
@@ -85,29 +116,43 @@ def sample_uniform(solset: SolutionSet, n: int, seed: int) -> list[Interpretatio
     man = layout.manager
     nodes = man._nodes
     levels = sorted(solset.variables())
-    rank, counts, ranks = man.model_counts(solset.bdd, levels)
+    _, counts, ranks = man.model_counts(solset.bdd, levels)
+    table = {}
+    for u, r in ranks.items():
+        if u < 2:
+            continue
+        v, lo, hi = nodes[u]
+        weight_lo = counts[lo] << (ranks[lo] - r - 1)
+        total = counts[u]
+        skips = levels[r + 1 : ranks[lo]], levels[r + 1 : ranks[hi]]
+        table[u] = (v, lo, hi, weight_lo, total, total.bit_length(), *skips)
+    root = solset.bdd.root
+    # variables above the root are unconstrained
+    above_root = levels[: ranks[root]]
 
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    kind = solset.kind
+    valuation = [False] * man.num_vars
     out = []
     for _ in range(n):
-        valuation = [False] * man.num_vars
-        u = solset.bdd.root
-        # variables above the root are unconstrained
-        for j in range(ranks[u]):
-            valuation[levels[j]] = bool(rng.getrandbits(1))
+        for level in above_root:
+            valuation[level] = getrandbits(1)
+        u = root
         while u > 1:
-            v, lo, hi = nodes[u]
-            r = rank[v]
-            weight_lo = counts[lo] << (ranks[lo] - r - 1)
-            weight_hi = counts[hi] << (ranks[hi] - r - 1)
-            if rng.randrange(weight_lo + weight_hi) < weight_lo:
+            v, lo, hi, weight_lo, total, bits, skip_lo, skip_hi = table[u]
+            # randrange(total), as CPython draws it: rejection on bits-bit words
+            r = getrandbits(bits)
+            while r >= total:
+                r = getrandbits(bits)
+            if r < weight_lo:
                 valuation[v] = False
-                child = lo
+                u = lo
+                skipped = skip_lo
             else:
                 valuation[v] = True
-                child = hi
-            for j in range(r + 1, ranks[child]):
-                valuation[levels[j]] = bool(rng.getrandbits(1))
-            u = child
-        out.append(decode(valuation, layout, solset.kind))
+                u = hi
+                skipped = skip_hi
+            for level in skipped:
+                valuation[level] = getrandbits(1)
+        out.append(decode(valuation, layout, kind))
     return out

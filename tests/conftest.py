@@ -44,6 +44,26 @@ def random_adf_with_free_inputs(rng: random.Random, n: int, depth: int = 4) -> A
     return Adf(names, conditions)
 
 
+def renamed(formula, suffix: str):
+    """``formula`` with ``suffix`` appended to every argument name."""
+    if isinstance(formula, Var):
+        return Var(formula.name + suffix)
+    if isinstance(formula, Const):
+        return formula
+    if isinstance(formula, Not):
+        return Not(renamed(formula.child, suffix))
+    return type(formula)(renamed(formula.left, suffix), renamed(formula.right, suffix))
+
+
+def disjoint_union(parts) -> Adf:
+    """The models in ``parts``, part ``j``'s names suffixed ``_j``, as one model."""
+    names, conditions = [], []
+    for j, part in enumerate(parts):
+        names += [name + f"_{j}" for name in part.arguments]
+        conditions += [renamed(c, f"_{j}") for c in part.conditions]
+    return Adf(tuple(names), tuple(conditions))
+
+
 def grid_adf(rows: int, cols: int, seed: int = 5, free_period: int = 29) -> Adf:
     """Grid-shaped model: each cell depends on up to three neighbours."""
     rng = random.Random(seed)

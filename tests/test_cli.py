@@ -60,6 +60,22 @@ def test_enumerate_grounded(capsys, example_path):
     assert out.strip() == "a:1 b:* c:*"
 
 
+@pytest.mark.parametrize(
+    "flags, expected",
+    [([], ""), (["--json"], '"count": 0, "solutions": []')],
+)
+def test_empty_listing_prints_no_count(capsys, tmp_path, flags, expected):
+    path = tmp_path / "odd.adf"
+    path.write_text("s(a). ac(a, neg(a)).")
+    code, out, err = run_cli(capsys, "solve", "--sem", "stb", "--enumerate", *flags, str(path))
+    assert code == 0
+    assert err == ""
+    if expected:
+        assert expected in out
+    else:
+        assert out == ""
+
+
 def test_enumerate_limit(capsys, example_path):
     code, out, _ = run_cli(
         capsys, "solve", "--sem", "adm", "--enumerate", "--limit", "2", example_path
@@ -260,6 +276,26 @@ def test_deep_nesting_exits_with_limit_code(tmp_path, suffix, command):
     assert result.returncode == 2
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("flags", [["--enumerate", "--limit", "200000"], ["--sample", "50000"]])
+def test_closed_pipe_exits_without_traceback(tmp_path, flags):
+    # the reader takes one line and closes its end while the solver still writes
+    path = tmp_path / "free.adf"
+    path.write_text(" ".join(f"s(x{i}). ac(x{i},x{i})." for i in range(14)))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "adfsolve", "solve", "--sem", "adm", *flags, str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = process.stdout.readline()
+    process.stdout.close()
+    err = process.stderr.read().decode()
+    assert process.wait(timeout=60) == 1
+    assert first.startswith(b"x0:")
+    assert "Traceback" not in err
 
 
 def test_limit_requires_enumerate(capsys, example_path):

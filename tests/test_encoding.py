@@ -211,8 +211,8 @@ def test_decode_dual_example():
 def test_decode_direct_and_errors():
     layout = VarLayout(("a", "b"))
     assert decode([False] * 6, layout, "direct").values == ("0", "0")
-    with pytest.raises(EncodingError, match=r"\(0,0\)"):
-        decode([False] * 6, layout, "dual")
+    with pytest.raises(EncodingError, match=r"\(0,0\) dual pair for argument 'b'"):
+        decode([False, True, False, False, False, False], layout, "dual")
 
 
 def test_decode_encode_identity():
@@ -238,5 +238,5 @@ def test_interpretation_helpers():
     refined = Interpretation(("a", "b"), ("1", "0"))
     assert interp.leq_info(refined)
     assert not refined.leq_info(interp)
-    with pytest.raises(EncodingError):
-        Interpretation(("a",), ("2",))
+    with pytest.raises(EncodingError, match="invalid truth value '2'"):
+        Interpretation(("a", "b"), ("1", "2"))

@@ -23,7 +23,13 @@ from adfsolve.semantics import (
     two_valued_models,
 )
 from adfsolve.solutions import count, enumerate_solutions
-from conftest import EXAMPLE_ADF, grid_adf, random_adf, random_adf_with_free_inputs
+from conftest import (
+    EXAMPLE_ADF,
+    disjoint_union,
+    grid_adf,
+    random_adf,
+    random_adf_with_free_inputs,
+)
 
 
 def solved_set(adf, sem, restrict=True):
@@ -247,15 +253,6 @@ def test_stable_on_long_chain_stays_linear():
     assert len(stb.layout.manager._nodes) < 100 * n
 
 
-def renamed(formula, suffix):
-    """``formula`` with ``suffix`` appended to every argument name."""
-    if isinstance(formula, Var):
-        return Var(formula.name + suffix)
-    if isinstance(formula, Not):
-        return Not(renamed(formula.child, suffix))
-    return type(formula)(renamed(formula.left, suffix), renamed(formula.right, suffix))
-
-
 def attack_tail_union(copies):
     """``copies`` of the 14 ``attack_with_tail`` components (tails 0-6, both
     kinds), renamed apart into one disjoint union; returns it and its parts."""
@@ -265,11 +262,7 @@ def attack_tail_union(copies):
         for tail in range(7)
         for self_attack in (False, True)
     ]
-    names, conditions = [], []
-    for j, part in enumerate(parts):
-        names += [name + f"_{j}" for name in part.arguments]
-        conditions += [renamed(c, f"_{j}") for c in part.conditions]
-    return Adf(tuple(names), tuple(conditions)), parts
+    return disjoint_union(parts), parts
 
 
 def test_attack_tail_union_past_oracle_cap():

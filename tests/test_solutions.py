@@ -1,15 +1,18 @@
 """Counting, enumeration order, and the exactness of uniform sampling."""
 
+import hashlib
 import random
+import re
 from collections import Counter
 
 import pytest
 
-from adfsolve.formula import Adf, Var, parse_adf
+from adfsolve.cli import main
+from adfsolve.formula import Adf, Var, parse_adf, write_adf
 from adfsolve.oracle import brute_semantics
 from adfsolve.semantics import SEMANTICS, solve
 from adfsolve.solutions import count, enumerate_solutions, sample_uniform
-from conftest import EXAMPLE_ADF, random_adf
+from conftest import EXAMPLE_ADF, disjoint_union, random_adf, random_adf_with_free_inputs
 
 # chi-square upper critical values at significance 0.001
 CHI2_001 = {2: 13.816, 4: 18.467, 7: 24.322, 26: 54.052}
@@ -70,6 +73,89 @@ def test_enumerated_solutions_satisfy_the_oracle():
         adf = random_adf(rng, rng.randint(1, 7))
         for sem in SEMANTICS:
             assert set(enumerate_solutions(solve(adf, sem))) == brute_semantics(adf, sem)
+
+
+# (top, bot) order of the dual encoding: (0,1) false, (1,0) true, (1,1) unknown
+VALUE_ORDER = {"0": 0, "1": 1, "*": 2}
+
+
+def test_enumeration_order_matches_sorted_oracle():
+    rng = random.Random(211)
+    for index in range(40):
+        make = random_adf if index % 2 else random_adf_with_free_inputs
+        adf = make(rng, rng.randint(4, 8))
+        for sem in SEMANTICS:
+            ss = solve(adf, sem)
+            expected = sorted(
+                (m.values for m in brute_semantics(adf, sem)),
+                key=lambda values: [VALUE_ORDER[v] for v in values],
+            )
+            assert [i.values for i in enumerate_solutions(ss)] == expected, (index, sem)
+            assert [i.values for i in enumerate_solutions(ss, limit=3)] == expected[:3]
+
+
+def golden_models():
+    """The README example, a free-input model whose 2v diagram skips levels
+    above its root and between nodes, and a free-input union."""
+    skipping = random_adf_with_free_inputs(random.Random(27), 8)
+    union = disjoint_union(
+        [random_adf_with_free_inputs(random.Random(seed), 4) for seed in (3, 4, 5)]
+    )
+    return {"example": parse_adf(EXAMPLE_ADF), "skipping": skipping, "union": union}
+
+
+def skipped_levels(ss):
+    """Levels skipped above the root, and on edges between decision nodes."""
+    levels = sorted(ss.variables())
+    man = ss.layout.manager
+    rank, _, ranks = man.model_counts(ss.bdd, levels)
+    between = sum(
+        ranks[child] - rank[man._nodes[u][0]] - 1
+        for u in ranks
+        if u > 1
+        for child in man._nodes[u][1:]
+        if child > 1
+    )
+    return ranks[ss.bdd.root], between
+
+
+ELAPSED = re.compile(r'"elapsed_ms": [0-9.e+-]+')
+
+
+def test_samples_and_listings_match_golden_hash(capsys, tmp_path):
+    """Sampling draws and CLI listings are pinned, not just repeatable: a
+    change to the RNG draw sequence or the enumeration order shows here."""
+    models = golden_models()
+    above_root, between_nodes = skipped_levels(solve(models["skipping"], "2v"))
+    assert above_root >= 2 and between_nodes >= 1
+    digest = hashlib.sha256()
+    for name, sem, seed in [
+        ("example", "adm", 2024),
+        ("example", "com", 5),
+        ("skipping", "2v", 17),
+        ("skipping", "adm", 17),
+        ("union", "adm", 99),
+        ("union", "2v", 3),
+    ]:
+        draws = sample_uniform(solve(models[name], sem), 300, seed)
+        digest.update(f"{name} {sem} {seed}\n".encode())
+        digest.update("".join(v for d in draws for v in d.values).encode())
+    for name, adf in models.items():
+        path = tmp_path / f"{name}.adf"
+        path.write_text(write_adf(adf))
+        for flags in [
+            ["--sem", "adm", "--sample", "40", "--seed", "8"],
+            ["--sem", "2v", "--sample", "25", "--seed", "13"],
+            ["--sem", "com", "--enumerate", "--limit", "30"],
+            ["--sem", "adm", "--enumerate", "--limit", "50"],
+        ]:
+            for extra in ([], ["--json"]):
+                assert main(["solve", str(path), *flags, *extra]) == 0
+                out = ELAPSED.sub('"elapsed_ms": 0', capsys.readouterr().out)
+                digest.update(f"{name} {flags} {extra}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "037cacbaf3bd4227f44982a3ce8e8f9718021f664ea6a1c8ec6819fc0a0979e6"
+    )
 
 
 def test_sampling_singleton_set():
