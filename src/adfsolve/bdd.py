@@ -7,10 +7,13 @@ constructor keeps diagrams reduced, two diagrams built in the same manager
 represent the same Boolean function exactly when their root integers are
 equal.
 
-Besides the usual binary operators, quantification and model counting,
-the manager provides two set primitives: the monotone upward closure of a
-set under bitwise inclusion over a given group of variables, and, built
-on it in one pass, the minimal members of a set under that inclusion.
+The engine has three binary operators, conjunction, disjunction and
+exclusive or, plus negation; implication and equivalence are derived from
+them.  One memoized rebuild pass serves both existential quantification
+and the monotone upward closure of a set under bitwise inclusion over a
+given group of variables.  The minimal members of a set under that
+inclusion are built on the closure in one further pass, and model
+counting is one bottom-up pass.
 
 A manager and every diagram it owns belong to a single thread; distinct
 managers are fully independent.
@@ -27,7 +30,7 @@ class BddError(Exception):
 
 
 # opcodes for the shared memo cache
-_AND, _OR, _XOR, _IMP, _IFF, _NOT, _EXISTS, _UP = range(8)
+_AND, _OR, _XOR, _NOT, _EXISTS, _UP = range(6)
 
 
 class BddManager:
@@ -93,30 +96,22 @@ class BddManager:
 
     def _apply(self, op: int, a: int, b: int) -> int:
         # constant and equal operands are settled before the memo lookup;
-        # commutative operators order their operands to share cache keys
+        # all three operators commute, so ordered operands share cache keys
         if op == _AND:
             if a == 0 or b == 0:
                 return 0
-            if a == 1:
+            if a == 1 or a == b:
                 return b
             if b == 1:
                 return a
-            if a == b:
-                return a
-            if a > b:
-                a, b = b, a
         elif op == _OR:
             if a == 1 or b == 1:
                 return 1
-            if a == 0:
+            if a == 0 or a == b:
                 return b
             if b == 0:
                 return a
-            if a == b:
-                return a
-            if a > b:
-                a, b = b, a
-        elif op == _XOR:
+        else:  # _XOR
             if a == b:
                 return 0
             if a == 0:
@@ -127,28 +122,8 @@ class BddManager:
                 return self._not(b)
             if b == 1:
                 return self._not(a)
-            if a > b:
-                a, b = b, a
-        elif op == _IMP:
-            if a == 0 or b == 1 or a == b:
-                return 1
-            if a == 1:
-                return b
-            if b == 0:
-                return self._not(a)
-        else:  # _IFF
-            if a == b:
-                return 1
-            if a == 1:
-                return b
-            if b == 1:
-                return a
-            if a == 0:
-                return self._not(b)
-            if b == 0:
-                return self._not(a)
-            if a > b:
-                a, b = b, a
+        if a > b:
+            a, b = b, a
         key = (op, a, b)
         cached = self._cache.get(key)
         if cached is not None:
@@ -188,24 +163,26 @@ class BddManager:
         """Existentially quantify the given variable levels out of ``f``."""
         self._claim(f)
         levels = frozenset(variables)
-        if not levels:
-            return f
-        return Bdd(self, self._exists(f.root, levels, max(levels)))
+        return Bdd(self, self._rebuild(_EXISTS, f.root, levels, max(levels, default=-1)))
 
-    def _exists(self, a: int, levels: frozenset[int], top: int) -> int:
+    def _rebuild(self, op: int, a: int, levels: frozenset[int], top: int) -> int:
+        # the pass behind _EXISTS and _UP: at a node on a variable in
+        # ``levels`` both join the rebuilt branches; _EXISTS returns the
+        # join, _UP keeps the low branch and takes the join as high branch
         if a < 2:
             return a
         v, lo, hi = self._nodes[a]
         if v > top:
             return a
-        key = (_EXISTS, a, levels)
+        key = (op, a, levels)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        l = self._exists(lo, levels, top)
-        h = self._exists(hi, levels, top)
+        l = self._rebuild(op, lo, levels, top)
+        h = self._rebuild(op, hi, levels, top)
         if v in levels:
-            result = self._apply(_OR, l, h)
+            h = self._apply(_OR, l, h)
+            result = h if op == _EXISTS else self._mk(v, l, h)
         else:
             result = self._mk(v, l, h)
         self._cache[key] = result
@@ -262,21 +239,20 @@ class BddManager:
         beyond 64 bits.  ``f`` must not depend on variables outside
         ``over``.
         """
-        _, counts, ranks = self.model_counts(f, sorted(set(over)))
+        counts, ranks = self.model_counts(f, sorted(set(over)))
         return counts[f.root] << ranks[f.root]
 
     def model_counts(
         self, f: "Bdd", levels: Sequence[int]
-    ) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    ) -> tuple[dict[int, int], dict[int, int]]:
         """Exact model counts below every node of ``f`` over sorted ``levels``.
 
-        Returns ``rank`` (level -> position in ``levels``), ``counts`` and
-        ``ranks``.  For each node ``u`` reachable from the root, ``ranks[u]``
-        is the rank of its variable (``len(levels)`` for the terminals) and
-        ``counts[u]`` is the number of assignments to ``levels[ranks[u]:]``
-        that lead from ``u`` to the true terminal.  One bottom-up pass;
-        raises :class:`BddError` if ``f`` depends on a variable outside
-        ``levels``.
+        Returns ``counts`` and ``ranks``.  For each node ``u`` reachable
+        from the root, ``ranks[u]`` is the position of its variable in
+        ``levels`` (``len(levels)`` for the terminals) and ``counts[u]`` is
+        the number of assignments to ``levels[ranks[u]:]`` that lead from
+        ``u`` to the true terminal.  One bottom-up pass; raises
+        :class:`BddError` if ``f`` depends on a variable outside ``levels``.
         """
         self._claim(f)
         rank = {v: i for i, v in enumerate(levels)}
@@ -295,7 +271,7 @@ class BddManager:
             r = rank[v]
             counts[u] = (counts[lo] << (ranks[lo] - r - 1)) + (counts[hi] << (ranks[hi] - r - 1))
             ranks[u] = r
-        return rank, counts, ranks
+        return counts, ranks
 
     def validate(self) -> None:
         """Check store invariants: reduced nodes, no duplicate triples."""
@@ -335,6 +311,9 @@ class BddManager:
         nodes = self._nodes
         memo: dict[tuple[int, int], int] = {}
 
+        def up(u: int) -> int:
+            return self._rebuild(_UP, u, over_set, top)
+
         def above(u: int, j: int) -> int:
             # assignments strictly above a member of u over levels[j:]
             key = (u, j)
@@ -343,15 +322,11 @@ class BddManager:
                 return result
             v, lo, hi = nodes[u]
             if j < len(levels) and levels[j] < v:
-                result = self._mk(levels[j], above(u, j + 1), self._up(u, over_set, top))
+                result = self._mk(levels[j], above(u, j + 1), up(u))
             elif u < 2:
                 result = 0
             elif v in over_set:
-                result = self._mk(
-                    v,
-                    above(lo, j + 1),
-                    self._apply(_OR, above(hi, j + 1), self._up(lo, over_set, top)),
-                )
+                result = self._mk(v, above(lo, j + 1), self._apply(_OR, above(hi, j + 1), up(lo)))
             else:
                 result = self._mk(v, above(lo, j), above(hi, j))
             memo[key] = result
@@ -371,25 +346,7 @@ class BddManager:
         levels = frozenset(over)
         for v in levels:
             self._check_level(v)
-        return Bdd(self, self._up(f.root, levels, max(levels, default=-1)))
-
-    def _up(self, a: int, levels: frozenset[int], top: int) -> int:
-        if a < 2:
-            return a
-        v, lo, hi = self._nodes[a]
-        if v > top:
-            return a
-        key = (_UP, a, levels)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        l = self._up(lo, levels, top)
-        h = self._up(hi, levels, top)
-        if v in levels:
-            h = self._apply(_OR, l, h)
-        result = self._mk(v, l, h)
-        self._cache[key] = result
-        return result
+        return Bdd(self, self._rebuild(_UP, f.root, levels, max(levels, default=-1)))
 
     def conjoin(self, clauses: Iterable["Bdd"]) -> "Bdd":
         """Conjoin many diagrams, deepest top variable first.
@@ -442,10 +399,11 @@ class Bdd:
         return self._binary(_XOR, other)
 
     def implies(self, other: "Bdd") -> "Bdd":
-        return self._binary(_IMP, other)
+        return ~self | other
 
     def iff(self, other: "Bdd") -> "Bdd":
-        return self._binary(_IFF, other)
+        # negating ``self`` costs one node when it is a single variable
+        return ~self ^ other
 
     def __invert__(self) -> "Bdd":
         return Bdd(self.manager, self.manager._not(self.root))

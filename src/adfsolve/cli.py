@@ -37,14 +37,14 @@ class InputError(Exception):
 
 def _read_model(path: str, input_format: str | None) -> fmt.Adf:
     """Parse a model file, or stdin for ``-``; the format defaults to the extension."""
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
     if input_format is None:
         if path.endswith(".adf"):
             input_format = "adf"

@@ -5,9 +5,12 @@ interpretations satisfying the semantics, never an explicit enumeration:
 
 * two-valued models: conjunction of ``s <-> condition(s)`` over direct
   variables;
-* admissible: validity plus ``(top_fn -> top) & (bot_fn -> bot)`` per
-  argument over dual variables;
-* complete: admissible plus ``(top & bot) -> (top_fn & bot_fn)``;
+* admissible: ``v <=_i Gamma(v)``, in dual form validity plus
+  ``(top_fn -> top) & (bot_fn -> bot)`` per argument;
+* complete: ``v = Gamma(v)``, in dual form validity plus
+  ``(top <-> top_fn) & (bot <-> bot_fn)`` per argument.  As
+  ``top_fn | bot_fn`` holds on every valid encoding, this is admissible
+  plus ``(top & bot) -> (top_fn & bot_fn)``;
 * grounded: iterate the characteristic operator from the all-unknown
   interpretation to its least fixed point;
 * preferred: the members of the complete set minimal in their true dual
@@ -25,6 +28,7 @@ so ``iterations`` reads 1 for both.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .bdd import Bdd
@@ -71,32 +75,28 @@ def two_valued_models(adf: Adf, layout: VarLayout) -> SolutionSet:
     return SolutionSet(man.conjoin(clauses), layout, "direct")
 
 
-def admissible(adf: Adf, layout: VarLayout) -> SolutionSet:
-    """All interpretations the characteristic operator only refines."""
+def _gamma_relation(
+    adf: Adf, layout: VarLayout, related: Callable[[Bdd, Bdd], Bdd]
+) -> SolutionSet:
+    """Valid dual interpretations with ``related(x, x_fn)`` for x in top, bot."""
     man = layout.manager
     clauses = []
     for i, pair in enumerate(gamma_pairs(adf, layout)):
         top = man.var(layout.top(i))
         bot = man.var(layout.bot(i))
         clauses.append(top | bot)
-        clauses.append(pair.top_fn.implies(top) & pair.bot_fn.implies(bot))
+        clauses.append(related(top, pair.top_fn) & related(bot, pair.bot_fn))
     return SolutionSet(man.conjoin(clauses), layout, "dual")
+
+
+def admissible(adf: Adf, layout: VarLayout) -> SolutionSet:
+    """All interpretations the characteristic operator only refines."""
+    return _gamma_relation(adf, layout, lambda var, fn: fn.implies(var))
 
 
 def complete(adf: Adf, layout: VarLayout) -> SolutionSet:
     """All fixed points of the characteristic operator."""
-    man = layout.manager
-    clauses = []
-    for i, pair in enumerate(gamma_pairs(adf, layout)):
-        top = man.var(layout.top(i))
-        bot = man.var(layout.bot(i))
-        clauses.append(top | bot)
-        clauses.append(
-            pair.top_fn.implies(top)
-            & pair.bot_fn.implies(bot)
-            & (top & bot).implies(pair.top_fn & pair.bot_fn)
-        )
-    return SolutionSet(man.conjoin(clauses), layout, "dual")
+    return _gamma_relation(adf, layout, Bdd.iff)
 
 
 def grounded(adf: Adf, layout: VarLayout) -> Interpretation:

@@ -116,7 +116,7 @@ def sample_uniform(solset: SolutionSet, n: int, seed: int) -> list[Interpretatio
     man = layout.manager
     nodes = man._nodes
     levels = sorted(solset.variables())
-    _, counts, ranks = man.model_counts(solset.bdd, levels)
+    counts, ranks = man.model_counts(solset.bdd, levels)
     table = {}
     for u, r in ranks.items():
         if u < 2:

@@ -278,6 +278,22 @@ def test_deep_nesting_exits_with_limit_code(tmp_path, suffix, command):
     assert "Traceback" not in result.stderr
 
 
+def test_undecodable_file_exits_without_traceback(tmp_path):
+    path = tmp_path / "bad.adf"
+    path.write_bytes(b"s(a). ac(a,\xff).")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "adfsolve", "solve", "--sem", "2v", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: cannot read {path}: ")
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("flags", [["--enumerate", "--limit", "200000"], ["--sample", "50000"]])
 def test_closed_pipe_exits_without_traceback(tmp_path, flags):
     # the reader takes one line and closes its end while the solver still writes

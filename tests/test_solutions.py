@@ -108,9 +108,9 @@ def skipped_levels(ss):
     """Levels skipped above the root, and on edges between decision nodes."""
     levels = sorted(ss.variables())
     man = ss.layout.manager
-    rank, _, ranks = man.model_counts(ss.bdd, levels)
+    _, ranks = man.model_counts(ss.bdd, levels)
     between = sum(
-        ranks[child] - rank[man._nodes[u][0]] - 1
+        ranks[child] - ranks[u] - 1
         for u in ranks
         if u > 1
         for child in man._nodes[u][1:]
