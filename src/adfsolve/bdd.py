@@ -77,6 +77,12 @@ class BddManager:
         if not 0 <= level < self.num_vars:
             raise BddError(f"variable {level} outside manager range 0..{self.num_vars - 1}")
 
+    def _levels(self, variables: Iterable[int]) -> frozenset[int]:
+        levels = frozenset(variables)
+        for v in levels:
+            self._check_level(v)
+        return levels
+
     def _mk(self, level: int, lo: int, hi: int) -> int:
         if lo == hi:
             return lo
@@ -162,7 +168,7 @@ class BddManager:
     def exists(self, f: "Bdd", variables: Iterable[int]) -> "Bdd":
         """Existentially quantify the given variable levels out of ``f``."""
         self._claim(f)
-        levels = frozenset(variables)
+        levels = self._levels(variables)
         return Bdd(self, self._rebuild(_EXISTS, f.root, levels, max(levels, default=-1)))
 
     def _rebuild(self, op: int, a: int, levels: frozenset[int], top: int) -> int:
@@ -303,10 +309,8 @@ class BddManager:
         and below that step the upward closure of the low branch suffices.
         """
         self._claim(f)
-        levels = sorted(set(over))
-        for v in levels:
-            self._check_level(v)
-        over_set = frozenset(levels)
+        over_set = self._levels(over)
+        levels = sorted(over_set)
         top = max(levels, default=-1)
         nodes = self._nodes
         memo: dict[tuple[int, int], int] = {}
@@ -343,9 +347,7 @@ class BddManager:
         in ``over`` takes the join of its two closed branches as high branch.
         """
         self._claim(f)
-        levels = frozenset(over)
-        for v in levels:
-            self._check_level(v)
+        levels = self._levels(over)
         return Bdd(self, self._rebuild(_UP, f.root, levels, max(levels, default=-1)))
 
     def conjoin(self, clauses: Iterable["Bdd"]) -> "Bdd":

@@ -39,7 +39,7 @@ def _read_model(path: str, input_format: str | None) -> fmt.Adf:
     """Parse a model file, or stdin for ``-``; the format defaults to the extension."""
     try:
         if path == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()

@@ -1,19 +1,20 @@
 """Variable layout, condition compilation, and the dual-variable transform.
 
-Each argument ``i`` owns three adjacent decision variables: a *direct*
-variable carrying its Boolean value, and a *dual* pair ``(top, bot)``
-encoding a three-valued assignment as ``(1,0) = true``, ``(0,1) = false``
-and ``(1,1) = unknown``; ``(0,0)`` is invalid and ruled out by the
-validity constraint ``top | bot`` per argument.  Keeping the triple
-interleaved keeps every per-argument coupling constraint local in the
-variable order.
+Each argument ``i`` owns two adjacent decision variables, a *dual* pair
+``(top, bot)`` encoding a three-valued assignment as ``(1,0) = true``,
+``(0,1) = false`` and ``(1,1) = unknown``; ``(0,0)`` is invalid and ruled
+out by the validity constraint ``top | bot`` per argument.  A two-valued
+interpretation is a valid pair with ``bot = ~top``, so two-valued sets
+(the ``direct`` kind) range over the top variables alone: an argument is
+true when its top variable is.  Keeping the pairs interleaved keeps every
+per-argument constraint local in the variable order.
 
-The dual transform turns a function over direct variables into the
-function over dual variables that holds exactly when *some* two-valued
-refinement of the three-valued assignment satisfies the original.  It is
-a single structural pass over the diagram: a decision on the direct
-variable of argument ``i`` with branches ``(lo, hi)`` becomes
-``(top_i & T(hi)) | (bot_i & T(lo))``.
+The dual transform turns a function over the top variables, read as
+two-valued, into the function over dual pairs that holds exactly when
+*some* two-valued refinement of the three-valued assignment satisfies
+the original.  It is a single structural pass over the diagram: a
+decision on the top variable of argument ``i`` with branches ``(lo, hi)``
+becomes ``(top_i & T(hi)) | (bot_i & T(lo))``.
 """
 
 from __future__ import annotations
@@ -69,16 +70,17 @@ class Interpretation:
 
 
 class VarLayout:
-    """Interleaved per-argument variable triples in one manager.
+    """Interleaved per-argument variable pairs in one manager.
 
-    Argument ``i`` occupies levels ``3i`` (direct), ``3i + 1`` (top) and
-    ``3i + 2`` (bot); the manager therefore has ``3 n`` variables.
+    Argument ``i`` occupies levels ``2i`` (top) and ``2i + 1`` (bot); the
+    manager therefore has ``2 n`` variables.  Two-valued sets range over
+    ``direct_vars``, the top levels.
     """
 
     def __init__(self, names: tuple[str, ...] | list[str]):
         self.names = tuple(names)
         self.n = len(self.names)
-        self.manager = BddManager(3 * self.n)
+        self.manager = BddManager(2 * self.n)
         self._index = {name: i for i, name in enumerate(self.names)}
         if len(self._index) != self.n:
             raise EncodingError("duplicate argument names")
@@ -94,26 +96,19 @@ class VarLayout:
         except KeyError:
             raise EncodingError(f"unknown argument {name!r}") from None
 
-    def direct(self, i: int) -> int:
-        return 3 * i
-
     def top(self, i: int) -> int:
-        return 3 * i + 1
+        return 2 * i
 
     def bot(self, i: int) -> int:
-        return 3 * i + 2
+        return 2 * i + 1
 
     @property
     def direct_vars(self) -> list[int]:
-        return [3 * i for i in range(self.n)]
+        return list(range(0, 2 * self.n, 2))
 
     @property
     def dual_vars(self) -> list[int]:
-        out = []
-        for i in range(self.n):
-            out.append(3 * i + 1)
-            out.append(3 * i + 2)
-        return out
+        return list(range(2 * self.n))
 
 
 @dataclass(frozen=True)
@@ -131,12 +126,12 @@ class GammaPair:
 
 
 def formula_to_bdd(formula: Formula, layout: VarLayout) -> Bdd:
-    """Compile a condition to a diagram over the direct variables."""
+    """Compile a condition to a two-valued diagram over the top variables."""
     man = layout.manager
 
     def rec(f: Formula) -> Bdd:
         if isinstance(f, Var):
-            return man.var(layout.direct(layout.index(f.name)))
+            return man.var(layout.top(layout.index(f.name)))
         if isinstance(f, Const):
             return man.true if f.value else man.false
         if isinstance(f, Not):
@@ -157,12 +152,14 @@ def formula_to_bdd(formula: Formula, layout: VarLayout) -> Bdd:
 
 
 def dual_transform(f: Bdd, layout: VarLayout) -> Bdd:
-    """Rewrite a direct-variable function into its dual-variable form.
+    """Rewrite a two-valued function over the top variables into dual form.
 
-    On valid encodings the result holds exactly when some two-valued
-    refinement of the assignment satisfies ``f``; behaviour on invalid
-    ``(0,0)`` pairs is unconstrained, so consumers conjoin the validity
-    constraint.  Linear in the diagram size, memoized per layout.
+    A node on top variable ``v`` becomes decisions on ``(v, v + 1)``; a
+    node on a bot variable is rejected.  On valid encodings the result
+    holds exactly when some two-valued refinement of the assignment
+    satisfies ``f``; behaviour on invalid ``(0,0)`` pairs is unconstrained,
+    so consumers conjoin the validity constraint.  Linear in the diagram
+    size, memoized per layout.
     """
     man = layout.manager
     if f.manager is not man:
@@ -177,17 +174,15 @@ def dual_transform(f: Bdd, layout: VarLayout) -> Bdd:
         if found is not None:
             return found
         level, lo, hi = nodes[u]
-        if level % 3 != 0:
-            raise EncodingError("function depends on a dual variable")
-        top = level + 1
-        bot = level + 2
+        if level % 2:
+            raise EncodingError("function depends on a bot variable")
         can_true = rec(hi)
         can_false = rec(lo)
         either = man._apply(_OR, can_true, can_false)
         result = man._mk(
-            top,
-            man._mk(bot, 0, can_false),
-            man._mk(bot, can_true, either),
+            level,
+            man._mk(level + 1, 0, can_false),
+            man._mk(level + 1, can_true, either),
         )
         cache[u] = result
         return result
@@ -199,11 +194,11 @@ def gamma_pairs(adf: Adf, layout: VarLayout) -> list[GammaPair]:
     """Dual encodings of every acceptance condition and its negation."""
     out = []
     for condition in adf.conditions:
-        direct = formula_to_bdd(condition, layout)
+        compiled = formula_to_bdd(condition, layout)
         out.append(
             GammaPair(
-                top_fn=dual_transform(direct, layout),
-                bot_fn=dual_transform(~direct, layout),
+                top_fn=dual_transform(compiled, layout),
+                bot_fn=dual_transform(~compiled, layout),
             )
         )
     return out
@@ -222,11 +217,11 @@ _DUAL_VALUE = {(True, False): "1", (False, True): "0", (True, True): "*"}
 
 def decode(valuation, layout: VarLayout, kind: Kind) -> Interpretation:
     """Read an interpretation back out of a satisfying valuation."""
-    end = 3 * layout.n
+    end = 2 * layout.n
     if kind == "direct":
-        values = tuple(map("01".__getitem__, valuation[0:end:3]))
+        values = tuple(map("01".__getitem__, valuation[0:end:2]))
     elif kind == "dual":
-        values = tuple(map(_DUAL_VALUE.get, zip(valuation[1:end:3], valuation[2:end:3])))
+        values = tuple(map(_DUAL_VALUE.get, zip(valuation[0:end:2], valuation[1:end:2])))
         if None in values:
             name = layout.names[values.index(None)]
             raise EncodingError(f"invalid (0,0) dual pair for argument {name!r}")
@@ -239,17 +234,16 @@ def encode_interpretation(interp: Interpretation, layout: VarLayout, kind: Kind)
     """Valuation selecting exactly this interpretation; inverse of decode."""
     if interp.names != layout.names:
         raise EncodingError("interpretation does not match the layout's arguments")
+    if kind not in ("direct", "dual"):
+        raise EncodingError(f"cannot encode kind {kind!r}")
+    if kind == "direct" and not interp.is_two_valued():
+        raise EncodingError("cannot encode unknowns in a two-valued set")
+    # a two-valued interpretation gets its valid dual pairs; its sets read
+    # only the top variables
     valuation = [False] * layout.manager.num_vars
     for i, value in enumerate(interp.values):
-        if kind == "direct":
-            if value == "*":
-                raise EncodingError("cannot encode unknowns on direct variables")
-            valuation[layout.direct(i)] = value == "1"
-        elif kind == "dual":
-            valuation[layout.top(i)] = value in ("1", "*")
-            valuation[layout.bot(i)] = value in ("0", "*")
-        else:
-            raise EncodingError(f"cannot encode kind {kind!r}")
+        valuation[layout.top(i)] = value in ("1", "*")
+        valuation[layout.bot(i)] = value in ("0", "*")
     return valuation
 
 

@@ -3,8 +3,8 @@
 Every query produces a single diagram describing the *entire* set of
 interpretations satisfying the semantics, never an explicit enumeration:
 
-* two-valued models: conjunction of ``s <-> condition(s)`` over direct
-  variables;
+* two-valued models: conjunction of ``top <-> condition`` per argument,
+  with the condition compiled over the top variables;
 * admissible: ``v <=_i Gamma(v)``, in dual form validity plus
   ``(top_fn -> top) & (bot_fn -> bot)`` per argument;
 * complete: ``v = Gamma(v)``, in dual form validity plus
@@ -17,7 +17,7 @@ interpretations satisfying the semantics, never an explicit enumeration:
   variables, i.e. those no other complete interpretation refines;
 * stable: drop every two-valued model with a nonempty unfounded set of
   true arguments, found by one conjunction over the dual variables and
-  one projection.
+  one projection of the bot variables.
 
 Per-argument clauses are conjoined by ``BddManager.conjoin``: one fold,
 from the clause with the deepest top variable upward, so the accumulator
@@ -50,8 +50,9 @@ class SolutionSet:
     """A semantics result: the set diagram plus how to read it.
 
     ``kind`` names the variables the diagram ranges over: ``direct`` for
-    two-valued sets, ``dual`` for three-valued sets (always carrying the
-    validity constraint).
+    two-valued sets, over the top variables, and ``dual`` for three-valued
+    sets over both variables of each pair (always carrying the validity
+    constraint).
     """
 
     bdd: Bdd
@@ -69,7 +70,7 @@ def two_valued_models(adf: Adf, layout: VarLayout) -> SolutionSet:
     """All interpretations where every argument equals its condition."""
     man = layout.manager
     clauses = [
-        man.var(layout.direct(i)).iff(formula_to_bdd(condition, layout))
+        man.var(layout.top(i)).iff(formula_to_bdd(condition, layout))
         for i, condition in enumerate(adf.conditions)
     ]
     return SolutionSet(man.conjoin(clauses), layout, "direct")
@@ -157,23 +158,24 @@ def stable(
     reduct's grounding iteration makes all of ``U`` true; the first step
     that sets an argument of ``U`` starts from a state below ``sigma_U``,
     so that argument is forced true under ``sigma_U`` and ``U`` is not
-    unfounded.
+    unfounded.  ``sigma_U`` is the valid dual interpretation whose top is
+    the model and whose bot is clear exactly on ``T`` minus ``U``, so
+    projecting the bot variables away leaves the unstable models.
     """
     man = layout.manager
-    literals = [man.var(layout.direct(i)) for i in range(layout.n)]
     tv = two_valued_set.bdd
 
     # unstable: some sigma_U with U nonempty forces no argument of U true
     clauses, not_star = [tv], []
-    for i, s in enumerate(literals):
+    for i, gamma in enumerate(gammas):
         top = man.var(layout.top(i))
         bot = man.var(layout.bot(i))
         star = top & bot
-        clauses.append(s.implies(top) & (~s).implies(~top & bot))
-        clauses.append(star.implies(~gammas[i].top_fn | gammas[i].bot_fn))
+        clauses.append(top | bot)
+        clauses.append(star.implies(~gamma.top_fn | gamma.bot_fn))
         not_star.append(~star)
     clauses.append(~man.conjoin(not_star))
-    unstable = man.conjoin(clauses).exists(layout.dual_vars)
+    unstable = man.conjoin(clauses).exists(map(layout.bot, range(layout.n)))
     return SolutionSet(tv & ~unstable, layout, "direct", iterations=1)
 
 
@@ -191,7 +193,7 @@ def restrict_free_inputs(solset: SolutionSet, adf: Adf, mode: str) -> SolutionSe
     if mode == "preferred":
         clauses = [man.nvar(layout.top(i)) | man.nvar(layout.bot(i)) for i in free]
     elif mode == "stable":
-        clauses = [man.nvar(layout.direct(i)) for i in free]
+        clauses = [man.nvar(layout.top(i)) for i in free]
     else:
         raise ValueError(f"unknown restriction mode {mode!r}")
     bdd = man.conjoin([solset.bdd] + clauses)
@@ -199,16 +201,12 @@ def restrict_free_inputs(solset: SolutionSet, adf: Adf, mode: str) -> SolutionSe
 
 
 def embed_two_valued(solset: SolutionSet, layout: VarLayout) -> SolutionSet:
-    """Re-express a direct-variable set on the dual variables."""
+    """Re-express a two-valued set as dual pairs with ``bot = ~top``."""
     man = layout.manager
     clauses = [solset.bdd]
     for i in range(layout.n):
-        s = man.var(layout.direct(i))
-        top = man.var(layout.top(i))
-        bot = man.var(layout.bot(i))
-        clauses.append(s.implies(top & ~bot) & (~s).implies(~top & bot))
-    embedded = man.conjoin(clauses).exists(layout.direct_vars)
-    return SolutionSet(embedded, layout, "dual", solset.iterations)
+        clauses.append(man.var(layout.top(i)) ^ man.var(layout.bot(i)))
+    return SolutionSet(man.conjoin(clauses), layout, "dual", solset.iterations)
 
 
 def solve(

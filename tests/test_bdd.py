@@ -321,10 +321,13 @@ def test_upward_closure_partial_variable_set():
 
 
 def test_upward_closure_rejects_out_of_range_level():
+    # exists, upward_closure and minimal share one level check
     man = BddManager(3)
-    for level in (-1, 3):
-        with pytest.raises(BddError):
-            man.upward_closure(man.var(0), [0, level])
+    f = man.var(0) & man.var(1)
+    for level in (-1, 3, 99):
+        for method in (man.exists, man.upward_closure, man.minimal):
+            with pytest.raises(BddError):
+                method(f, [1, level])
 
 
 def test_exists_and_upward_closure_share_one_memo():

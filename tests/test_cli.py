@@ -121,7 +121,7 @@ def test_sample_deterministic(capsys, example_path):
 def test_stdin_with_format(capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(EXAMPLE_ADF))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(EXAMPLE_ADF.encode())))
     code = main(["solve", "--sem", "2v", "--count", "--format", "adf"])
     captured = capsys.readouterr()
     assert code == 0
@@ -131,7 +131,7 @@ def test_stdin_with_format(capsys, monkeypatch):
 def test_stdin_without_format_is_an_error(capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(EXAMPLE_ADF))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(EXAMPLE_ADF.encode())))
     code = main(["solve", "--sem", "2v", "--count"])
     captured = capsys.readouterr()
     assert code == 1
@@ -294,22 +294,38 @@ def test_undecodable_file_exits_without_traceback(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_undecodable_stdin_exits_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "adfsolve", "solve", "--sem", "2v", "--format", "adf", "-"],
+        input=b"s(a). ac(a,\xff).",
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    err = result.stderr.decode()
+    assert result.returncode == 1
+    assert err.startswith("error: cannot read -: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags", [["--enumerate", "--limit", "200000"], ["--sample", "50000"]])
 def test_closed_pipe_exits_without_traceback(tmp_path, flags):
     # the reader takes one line and closes its end while the solver still writes
     path = tmp_path / "free.adf"
     path.write_text(" ".join(f"s(x{i}). ac(x{i},x{i})." for i in range(14)))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    process = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "adfsolve", "solve", "--sem", "adm", *flags, str(path)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
-    )
-    first = process.stdout.readline()
-    process.stdout.close()
-    err = process.stderr.read().decode()
-    assert process.wait(timeout=60) == 1
+    ) as process:
+        first = process.stdout.readline()
+        process.stdout.close()
+        err = process.stderr.read().decode()
+        code = process.wait(timeout=60)
+    assert code == 1
     assert first.startswith(b"x0:")
     assert "Traceback" not in err
 

@@ -21,29 +21,18 @@ from adfsolve.formula import Const, evaluate, parse_adf
 from conftest import EXAMPLE_ADF, random_adf, random_formula
 
 
-def quantifier_dual(f, layout):
-    """Literal definition of the dual: conjoin the direct-to-dual link
-    per argument and quantify the direct variables away."""
-    man = layout.manager
-    link = man.true
-    for i in range(layout.n):
-        s = man.var(layout.direct(i))
-        link = link & s.implies(man.var(layout.top(i)))
-        link = link & (~s).implies(man.var(layout.bot(i)))
-    return (f & link).exists(layout.direct_vars)
-
-
 def all_interpretations(n):
     yield from product("01*", repeat=n)
 
 
 def test_layout_is_interleaved():
     layout = VarLayout(("a", "b", "c"))
-    triples = [(layout.direct(i), layout.top(i), layout.bot(i)) for i in range(3)]
-    flat = [v for triple in triples for v in triple]
-    assert flat == list(range(9))
-    assert layout.manager.num_vars == 9
-    assert set(layout.direct_vars) | set(layout.dual_vars) == set(range(layout.manager.num_vars))
+    pairs = [(layout.top(i), layout.bot(i)) for i in range(3)]
+    assert pairs == [(0, 1), (2, 3), (4, 5)]
+    assert layout.manager.num_vars == 6
+    assert layout.direct_vars == [0, 2, 4]
+    assert layout.dual_vars == list(range(6))
+    assert not hasattr(layout, "direct")
 
 
 def test_formula_to_bdd_constants_and_example():
@@ -53,7 +42,7 @@ def test_formula_to_bdd_constants_and_example():
     # second condition is true exactly on {a false} union {c true}
     f = formula_to_bdd(adf.conditions[1], layout)
     man = layout.manager
-    expected = man.nvar(layout.direct(0)) | man.var(layout.direct(2))
+    expected = man.nvar(layout.top(0)) | man.var(layout.top(2))
     assert f == expected
 
 
@@ -67,7 +56,7 @@ def test_formula_to_bdd_matches_ast_evaluation():
         for bits in product([False, True], repeat=n):
             valuation = [False] * layout.manager.num_vars
             for i, b in enumerate(bits):
-                valuation[layout.direct(i)] = b
+                valuation[layout.top(i)] = b
             env = dict(zip(adf.arguments, bits))
             assert f.evaluate(valuation) == evaluate(adf.conditions[0], env)
 
@@ -103,21 +92,7 @@ def test_dual_transform_constants():
 def test_dual_transform_rejects_dual_variables():
     layout = VarLayout(("a",))
     with pytest.raises(EncodingError):
-        dual_transform(layout.manager.var(layout.top(0)), layout)
-
-
-def test_dual_transform_equals_quantifier_construction():
-    rng = random.Random(53)
-    for _ in range(60):
-        n = rng.randint(1, 6)
-        names = tuple(f"x{i}" for i in range(n))
-        layout = VarLayout(names)
-        condition = random_formula(rng, names, depth=5)
-        f = formula_to_bdd(condition, layout)
-        validity = validity_constraint(layout)
-        rewritten = dual_transform(f, layout) & validity
-        literal = quantifier_dual(f, layout) & validity
-        assert rewritten.root == literal.root
+        dual_transform(layout.manager.var(layout.bot(0)), layout)
 
 
 def test_dual_transform_semantics_exhaustively():
@@ -162,10 +137,10 @@ def test_validity_constraint():
     layout = VarLayout(("a", "b", "c"))
     validity = validity_constraint(layout)
     assert validity.sat_count(layout.dual_vars) == 3**3
-    assert not validity.evaluate([False] * 9)
+    assert not validity.evaluate([False] * 6)
     single = VarLayout(("a",))
     man = single.manager
-    assert validity_constraint(single) == man.var(1) | man.var(2)
+    assert validity_constraint(single) == man.var(0) | man.var(1)
 
 
 def test_gamma_pairs_example():
@@ -198,7 +173,7 @@ def test_gamma_collapses_on_two_valued_interpretations():
 
 def test_decode_dual_example():
     layout = VarLayout(("a", "b", "c"))
-    valuation = [False] * 9
+    valuation = [False] * 6
     for level, bit in zip(
         [layout.top(0), layout.bot(0), layout.top(1), layout.bot(1), layout.top(2), layout.bot(2)],
         [True, True, True, False, True, False],
@@ -210,9 +185,9 @@ def test_decode_dual_example():
 
 def test_decode_direct_and_errors():
     layout = VarLayout(("a", "b"))
-    assert decode([False] * 6, layout, "direct").values == ("0", "0")
+    assert decode([False] * 4, layout, "direct").values == ("0", "0")
     with pytest.raises(EncodingError, match=r"\(0,0\) dual pair for argument 'b'"):
-        decode([False, True, False, False, False, False], layout, "dual")
+        decode([False, True, False, False], layout, "dual")
 
 
 def test_decode_encode_identity():

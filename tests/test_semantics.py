@@ -322,13 +322,35 @@ def test_grid_inclusion_chain():
     adm = admissible(adf, layout)
     prf = preferred(com, layout)
     stb = stable(tv, gamma_pairs(adf, layout), layout)
+    grd = grounded(adf, layout)
     elapsed = time.perf_counter() - started
     assert count(tv) > 0
     assert stb.bdd.implies(tv.bdd).is_true
     assert embed_two_valued(tv, layout).bdd.implies(prf.bdd).is_true
     assert prf.bdd.implies(com.bdd).is_true
     assert com.bdd.implies(adm.bdd).is_true
+    assert com.bdd.evaluate(encode_interpretation(grd, layout, "dual"))
     assert elapsed < 60.0
+
+
+@pytest.mark.parametrize(
+    "adf", [alternating_chain(1000), grid_adf(12, 8)], ids=["chain1000", "grid12x8"]
+)
+def test_reversed_declaration_order_keeps_answers(adf):
+    # past the oracle cap: reversing the declaration order reverses the
+    # variable order, so every diagram is built anew, yet the sets agree
+    backward = Adf(tuple(reversed(adf.arguments)), tuple(reversed(adf.conditions)))
+    for sem in SEMANTICS:
+        there, back = solve(adf, sem), solve(backward, sem)
+        total = count(there)
+        assert count(back) == total
+        if total <= 4096:
+            listed = [
+                {frozenset(i.as_dict().items()) for i in enumerate_solutions(s)}
+                for s in (there, back)
+            ]
+            assert len(listed[0]) == total
+            assert listed[0] == listed[1]
 
 
 def test_two_valued_equals_two_valued_members_of_complete():
