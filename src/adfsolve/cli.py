@@ -13,12 +13,20 @@ alone maps exceptions to exit codes: 0 success, 1 input or usage error,
 ``formula.DEFAULT_NODE_BUDGET`` nodes, or a condition nested past the
 recursion limit).  A reader that closes stdout early (``| head``) ends
 the run with exit code 1 and no traceback.
+
+Start-up is part of every query's cost, so the module imports only what
+every run needs: ``json`` is imported for ``--json`` alone and the
+brute-force ``oracle`` for ``--oracle`` alone.  A listing is written as
+joined chunks of lines of about ``CHUNK_BYTES`` each, which costs one
+system call per chunk even when stdout is unbuffered
+(``PYTHONUNBUFFERED=1``).  The chunks stay well below a pipe's capacity:
+an unbuffered write that a closing reader cuts short is not an error, so
+one write of the whole listing could lose the closed-pipe exit code.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -29,6 +37,9 @@ from . import semantics, solutions
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_LIMIT = 2
+
+# bytes per write of a listing, a quarter of a Linux pipe's default capacity
+CHUNK_BYTES = 16384
 
 
 class InputError(Exception):
@@ -101,18 +112,31 @@ def _solve(args: argparse.Namespace) -> None:
         _oracle_check(adf, solset, args.sem)
 
     if args.json:
+        import json  # only --json needs it
+
         payload: dict = {"semantics": args.sem, "count": total}
         if listed is not None:
             payload["solutions"] = [interp.as_dict() for interp in listed]
         payload["elapsed_ms"] = round(elapsed_ms, 3)
         print(json.dumps(payload))
     elif listed is not None:
-        sys.stdout.writelines([interp.format_line() + "\n" for interp in listed])
+        _write_lines([interp.format_line() for interp in listed])
     else:
         print(total)
 
     if args.time:
         print(f"time: {elapsed_ms:.1f} ms", file=sys.stderr)
+
+
+def _write_lines(lines: list[str]) -> None:
+    """Write each line and a newline to stdout, joined into chunks."""
+    if not lines:
+        return
+    # the lines of one listing are equally long: same names, one-character values
+    step = max(1, CHUNK_BYTES // (len(lines[0]) + 1))
+    sys.stdout.writelines(
+        ["\n".join(lines[i : i + step]) + "\n" for i in range(0, len(lines), step)]
+    )
 
 
 def _convert(args: argparse.Namespace) -> None:

@@ -19,13 +19,8 @@ becomes ``(top_i & T(hi)) | (bot_i & T(lo))``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal
-
 from .bdd import _OR, Bdd, BddManager
-from .formula import Adf, And, Const, Formula, Iff, Imp, Not, Or, Var
-
-Kind = Literal["direct", "dual"]
+from .formula import Adf, And, Const, Formula, Iff, Imp, Not, Or, Var, _Record, _set
 
 
 class EncodingError(Exception):
@@ -35,19 +30,31 @@ class EncodingError(Exception):
 _TRUTH_VALUES = frozenset(("0", "1", "*"))
 
 
-@dataclass(frozen=True)
-class Interpretation:
-    """Three-valued assignment over named arguments; values are '1', '0', '*'."""
+def _line_template(names: tuple[str, ...]) -> str:
+    """``%`` template printing ``name:value`` pairs, one ``%s`` per value."""
+    return " ".join(name.replace("%", "%%") + ":%s" for name in names)
 
-    names: tuple[str, ...]
-    values: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.names) != len(self.values):
+class Interpretation(_Record):
+    """Three-valued assignment over named arguments; values are '1', '0', '*'.
+
+    The public constructor checks its values.  ``decode`` builds members
+    from satisfying valuations through ``_trusted``, which skips the check
+    because such values are valid by construction, and hands over the
+    layout's line template so that ``format_line`` is one ``%``.
+    """
+
+    __slots__ = ("names", "values", "_line")
+    __match_args__ = ("names", "values")
+
+    def __init__(self, names: tuple[str, ...], values: tuple[str, ...]):
+        if len(names) != len(values):
             raise EncodingError("names and values differ in length")
-        if not _TRUTH_VALUES.issuperset(self.values):
-            bad = next(v for v in self.values if v not in _TRUTH_VALUES)
+        if not _TRUTH_VALUES.issuperset(values):
+            bad = next(v for v in values if v not in _TRUTH_VALUES)
             raise EncodingError(f"invalid truth value {bad!r}")
+        _set(self, "names", names)
+        _set(self, "values", values)
 
     def __getitem__(self, name: str) -> str:
         return self.values[self.names.index(name)]
@@ -66,7 +73,22 @@ class Interpretation:
         return dict(zip(self.names, self.values))
 
     def format_line(self) -> str:
-        return " ".join(map(":".join, zip(self.names, self.values)))
+        """``name:value`` pairs separated by single spaces."""
+        try:
+            line = self._line
+        except AttributeError:  # built by the public constructor
+            line = _line_template(self.names)
+            _set(self, "_line", line)
+        return line % self.values
+
+
+def _trusted(layout: VarLayout, values: tuple[str, ...]) -> Interpretation:
+    """An interpretation over the layout's names, without the value check."""
+    interp = object.__new__(Interpretation)
+    _set(interp, "names", layout.names)
+    _set(interp, "values", values)
+    _set(interp, "_line", layout._line)
+    return interp
 
 
 class VarLayout:
@@ -85,6 +107,7 @@ class VarLayout:
         if len(self._index) != self.n:
             raise EncodingError("duplicate argument names")
         self._dual_cache: dict[int, int] = {}
+        self._line = _line_template(self.names)  # read by decode
 
     @classmethod
     def for_adf(cls, adf: Adf) -> "VarLayout":
@@ -111,8 +134,7 @@ class VarLayout:
         return list(range(2 * self.n))
 
 
-@dataclass(frozen=True)
-class GammaPair:
+class GammaPair(_Record):
     """Dual-variable functions deciding one argument of the operator.
 
     ``top_fn`` holds when the argument can still become true, ``bot_fn``
@@ -121,8 +143,11 @@ class GammaPair:
     unknown.
     """
 
-    top_fn: Bdd
-    bot_fn: Bdd
+    __slots__ = __match_args__ = ("top_fn", "bot_fn")
+
+    def __init__(self, top_fn: Bdd, bot_fn: Bdd):
+        _set(self, "top_fn", top_fn)
+        _set(self, "bot_fn", bot_fn)
 
 
 def formula_to_bdd(formula: Formula, layout: VarLayout) -> Bdd:
@@ -211,26 +236,39 @@ def validity_constraint(layout: VarLayout) -> Bdd:
     return man.conjoin(clauses)
 
 
-# (top, bot) -> value; the invalid (0,0) pair is missing on purpose
-_DUAL_VALUE = {(True, False): "1", (False, True): "0", (True, True): "*"}
+# a top byte -> its value in a two-valued set
+_DIRECT_VALUE = bytes.maketrans(b"\x00\x01", b"01")
+# 2 top + bot -> value; the invalid (0,0) pair reads '?'
+_DUAL_VALUE = bytes.maketrans(b"\x00\x01\x02\x03", b"?01*")
 
 
-def decode(valuation, layout: VarLayout, kind: Kind) -> Interpretation:
-    """Read an interpretation back out of a satisfying valuation."""
-    end = 2 * layout.n
+def decode(valuation, layout: VarLayout, kind: str) -> Interpretation:
+    """Read an interpretation back out of a satisfying valuation.
+
+    ``valuation`` holds one 0/1 (or bool) per manager variable, as the
+    readers in ``solutions`` produce; ``kind`` is ``direct`` or ``dual``.
+    The values are computed by C-level bytes operations and trusted by
+    construction, so the interpretation skips the constructor's check.
+    """
+    n = layout.n
+    raw = bytes(valuation)
+    if len(raw) != 2 * n or raw.translate(None, b"\x00\x01"):
+        raise EncodingError(f"a valuation needs {2 * n} entries, each 0 or 1")
     if kind == "direct":
-        values = tuple(map("01".__getitem__, valuation[0:end:2]))
+        codes = raw[0::2].translate(_DIRECT_VALUE)
     elif kind == "dual":
-        values = tuple(map(_DUAL_VALUE.get, zip(valuation[0:end:2], valuation[1:end:2])))
-        if None in values:
-            name = layout.names[values.index(None)]
+        pairs = 2 * int.from_bytes(raw[0::2], "big") + int.from_bytes(raw[1::2], "big")
+        codes = pairs.to_bytes(n, "big").translate(_DUAL_VALUE)
+        bad = codes.find(b"?")
+        if bad >= 0:
+            name = layout.names[bad]
             raise EncodingError(f"invalid (0,0) dual pair for argument {name!r}")
     else:
         raise EncodingError(f"cannot decode kind {kind!r}")
-    return Interpretation(layout.names, values)
+    return _trusted(layout, tuple(codes.decode()))
 
 
-def encode_interpretation(interp: Interpretation, layout: VarLayout, kind: Kind) -> list[bool]:
+def encode_interpretation(interp: Interpretation, layout: VarLayout, kind: str) -> list[bool]:
     """Valuation selecting exactly this interpretation; inverse of decode."""
     if interp.names != layout.names:
         raise EncodingError("interpretation does not match the layout's arguments")

@@ -17,7 +17,7 @@ rewrite can explode, so it is guarded by a node budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -49,58 +49,103 @@ class RewriteBudgetError(Exception):
         self.budget = budget
 
 
-class Formula:
-    """Base class of the condition AST; subclasses are frozen records."""
+_set = object.__setattr__
+
+
+class _Record:
+    """Immutable value record, written out by hand to keep imports light.
+
+    A subclass names its fields in ``__match_args__`` and ``__slots__`` and
+    assigns them in its own ``__init__`` through ``_set``.  Two records are
+    equal when they are of the same class with equal fields; hashing,
+    ``repr`` and pickling follow the fields, and assigning a field raises
+    ``AttributeError``.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__match_args__:
+            # C-level field read; one field reads as itself, not a 1-tuple
+            cls._key = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Formula(_Record):
+    """Base class of the condition AST; subclasses are immutable records."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Formula):
-    value: bool
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: bool):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Formula):
-    child: Formula
+    __slots__ = __match_args__ = ("child",)
+
+    def __init__(self, child: Formula):
+        _set(self, "child", child)
 
 
-@dataclass(frozen=True, slots=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Imp(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Xor(Formula):
-    left: Formula
-    right: Formula
+class Iff(_Binary):
+    __slots__ = ()
 
 
-_BINARY = (And, Or, Imp, Iff, Xor)
+class Xor(_Binary):
+    __slots__ = ()
 
 
 def variables(formula: Formula) -> set[str]:
@@ -113,7 +158,7 @@ def variables(formula: Formula) -> set[str]:
             out.add(f.name)
         elif isinstance(f, Not):
             stack.append(f.child)
-        elif isinstance(f, _BINARY):
+        elif isinstance(f, _Binary):
             stack.append(f.left)
             stack.append(f.right)
     return out
@@ -140,25 +185,25 @@ def evaluate(formula: Formula, env: dict[str, bool]) -> bool:
     return a != b
 
 
-@dataclass(frozen=True)
-class Adf:
+class Adf(_Record):
     """Arguments in their fixed input order, one condition per argument."""
 
-    arguments: tuple[str, ...]
-    conditions: tuple[Formula, ...]
+    __slots__ = __match_args__ = ("arguments", "conditions")
 
-    def __post_init__(self):
-        if len(self.arguments) != len(self.conditions):
+    def __init__(self, arguments: tuple[str, ...], conditions: tuple[Formula, ...]):
+        if len(arguments) != len(conditions):
             raise FormatError("argument and condition counts differ")
-        if len(set(self.arguments)) != len(self.arguments):
+        if len(set(arguments)) != len(arguments):
             raise FormatError("duplicate argument names")
-        declared = set(self.arguments)
-        for name, condition in zip(self.arguments, self.conditions):
+        declared = set(arguments)
+        for name, condition in zip(arguments, conditions):
             unknown = variables(condition) - declared
             if unknown:
                 raise FormatError(
                     f"condition of {name!r} references undeclared argument {sorted(unknown)[0]!r}"
                 )
+        _set(self, "arguments", arguments)
+        _set(self, "conditions", conditions)
 
     @property
     def n(self) -> int:

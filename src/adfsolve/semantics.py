@@ -29,7 +29,6 @@ so ``iterations`` reads 1 for both.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .bdd import Bdd
 from .encoding import (
@@ -40,25 +39,31 @@ from .encoding import (
     formula_to_bdd,
     gamma_pairs,
 )
-from .formula import Adf
+from .formula import Adf, _Record
 
 SEMANTICS = ("adm", "com", "grd", "prf", "2v", "stb")
 
 
-@dataclass
-class SolutionSet:
+class SolutionSet(_Record):
     """A semantics result: the set diagram plus how to read it.
 
     ``kind`` names the variables the diagram ranges over: ``direct`` for
     two-valued sets, over the top variables, and ``dual`` for three-valued
     sets over both variables of each pair (always carrying the validity
-    constraint).
+    constraint).  Unlike the other records its fields can be reassigned,
+    so it is not hashable.
     """
 
-    bdd: Bdd
-    layout: VarLayout
-    kind: str
-    iterations: int | None = None
+    __slots__ = __match_args__ = ("bdd", "layout", "kind", "iterations")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, bdd: Bdd, layout: VarLayout, kind: str, iterations: int | None = None):
+        self.bdd = bdd
+        self.layout = layout
+        self.kind = kind
+        self.iterations = iterations
 
     def variables(self) -> list[int]:
         if self.kind == "direct":

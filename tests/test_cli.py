@@ -9,11 +9,23 @@ from pathlib import Path
 
 import pytest
 
-from adfsolve.cli import main
+from adfsolve.cli import CHUNK_BYTES, main
 from adfsolve.formula import parse_adf, write_adf, write_bnet
 from adfsolve.semantics import SEMANTICS, solve
-from adfsolve.solutions import count
+from adfsolve.solutions import count, enumerate_solutions
 from conftest import EXAMPLE_ADF, EXAMPLE_BNET, random_adf
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+FREE14 = " ".join(f"s(x{i}). ac(x{i},x{i})." for i in range(14))
+
+
+def child_env(unbuffered: bool) -> dict:
+    """The test's environment for a CLI child, with stdout buffered or not."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
 
 
 @pytest.fixture()
@@ -265,7 +277,7 @@ def test_deep_nesting_exits_with_limit_code(tmp_path, suffix, command):
     path = tmp_path / ("deep" + suffix)
     path.write_text(DEEP_INPUTS[suffix])
     args = ["--sem", "2v"] if command == "solve" else ["--format", "bnet"]
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run(
         [sys.executable, "-m", "adfsolve", command, str(path), *args],
         capture_output=True,
@@ -281,7 +293,7 @@ def test_deep_nesting_exits_with_limit_code(tmp_path, suffix, command):
 def test_undecodable_file_exits_without_traceback(tmp_path):
     path = tmp_path / "bad.adf"
     path.write_bytes(b"s(a). ac(a,\xff).")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run(
         [sys.executable, "-m", "adfsolve", "solve", "--sem", "2v", str(path)],
         capture_output=True,
@@ -295,7 +307,7 @@ def test_undecodable_file_exits_without_traceback(tmp_path):
 
 
 def test_undecodable_stdin_exits_without_traceback():
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run(
         [sys.executable, "-m", "adfsolve", "solve", "--sem", "2v", "--format", "adf", "-"],
         input=b"s(a). ac(a,\xff).",
@@ -309,17 +321,17 @@ def test_undecodable_stdin_exits_without_traceback():
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("flags", [["--enumerate", "--limit", "200000"], ["--sample", "50000"]])
-def test_closed_pipe_exits_without_traceback(tmp_path, flags):
+def test_closed_pipe_exits_without_traceback(tmp_path, flags, unbuffered):
     # the reader takes one line and closes its end while the solver still writes
     path = tmp_path / "free.adf"
-    path.write_text(" ".join(f"s(x{i}). ac(x{i},x{i})." for i in range(14)))
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    path.write_text(FREE14)
     with subprocess.Popen(
         [sys.executable, "-m", "adfsolve", "solve", "--sem", "adm", *flags, str(path)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=child_env(unbuffered),
     ) as process:
         first = process.stdout.readline()
         process.stdout.close()
@@ -328,6 +340,42 @@ def test_closed_pipe_exits_without_traceback(tmp_path, flags):
     assert code == 1
     assert first.startswith(b"x0:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_chunked_listing_prints_every_line(tmp_path, unbuffered):
+    path = tmp_path / "free.adf"
+    path.write_text(FREE14)
+    solset = solve(parse_adf(FREE14), "2v")
+    lines = [interp.format_line() for interp in enumerate_solutions(solset)]
+    assert len(lines) == 16384
+    # the last chunk is a short one
+    assert len(lines) % (CHUNK_BYTES // (len(lines[0]) + 1)) != 0
+    result = subprocess.run(
+        [sys.executable, "-m", "adfsolve", "solve", "--sem", "2v", "--enumerate", str(path)],
+        capture_output=True,
+        env=child_env(unbuffered),
+        timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stdout.decode() == "\n".join(lines) + "\n"
+
+
+def test_cli_import_leaves_unused_modules_out():
+    # dataclasses pulls in inspect; json is only for --json, oracle only for --oracle
+    probe = (
+        "import sys, adfsolve.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'json', 'adfsolve.oracle'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env=child_env(False),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_limit_requires_enumerate(capsys, example_path):
