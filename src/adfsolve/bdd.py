@@ -15,6 +15,20 @@ given group of variables.  The minimal members of a set under that
 inclusion are built on the closure in one further pass, and model
 counting is one bottom-up pass.
 
+Memory is bounded at safe points, the steps of ``conjoin``'s fold.  The
+memo lives one fold step: it is emptied after each step, so it holds only
+the work of the conjunction in progress.  A node lives while a ``Bdd``
+handle, the fold's accumulator or a clause still waiting in the fold
+reaches it.  Each handle counts itself in the manager while it exists.
+Once the live store has doubled since the last collection (or, before
+the first, since the first fold step), a fold step marks what those
+roots reach and frees the rest: the unique table is refilled with the
+marked nodes, freed ids go on a free list that later nodes reuse, and
+every memo keyed by node ids is emptied, so no reused id answers through
+a stale entry.  Nodes never move, so every handle stays valid.  Because
+ids are reused, a child's id may exceed its parent's; bottom-up passes
+order nodes by descending level instead.
+
 A manager and every diagram it owns belong to a single thread; distinct
 managers are fully independent.
 """
@@ -23,6 +37,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Sequence
+from itertools import compress
 
 
 class BddError(Exception):
@@ -31,6 +46,9 @@ class BddError(Exception):
 
 # opcodes for the shared memo cache
 _AND, _OR, _XOR, _NOT, _EXISTS, _UP = range(6)
+
+# a collection's mark bytes -> 1 where a slot is free
+_UNMARKED = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 class BddManager:
@@ -48,6 +66,15 @@ class BddManager:
         ]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._cache: dict[tuple, int] = {}
+        # ids of collected nodes, reused by _mk before the store grows
+        self._free: list[int] = []
+        # root -> number of live Bdd handles on it
+        self._refs: dict[int, int] = {}
+        # every memo keyed or valued by node ids; a collection empties them
+        self._memos: list[dict] = [self._cache]
+        # a fold step collects once the live store exceeds this size; the
+        # first fold step sets it
+        self._collect_at: int | None = None
         # recursion depth tracks the variable order, never the node count
         limit = 4 * num_vars + 2000
         if sys.getrecursionlimit() < limit:
@@ -89,10 +116,48 @@ class BddManager:
         key = (level, lo, hi)
         found = self._unique.get(key)
         if found is None:
-            self._nodes.append(key)
-            found = len(self._nodes) - 1
+            if self._free:
+                found = self._free.pop()
+                self._nodes[found] = key
+            else:
+                self._nodes.append(key)
+                found = len(self._nodes) - 1
             self._unique[key] = found
         return found
+
+    def _collect(self, roots: Iterable[int] = ()) -> None:
+        """Free every node that no live handle and none of ``roots`` reach.
+
+        One pass marks the reachable nodes and refills the unique table
+        with them; every unmarked slot goes on the free list, and every
+        memo keyed by node ids is emptied.  The table and the list are
+        refilled in place: new containers of that size would be young
+        to Python's cyclic collector, which would traverse them again.
+        """
+        nodes = self._nodes
+        marked = bytearray(len(nodes))
+        marked[0] = marked[1] = 1
+        unique = self._unique
+        unique.clear()
+        stack = [u for u in {*self._refs, *roots} if u > 1]
+        for u in stack:
+            marked[u] = 1
+        while stack:
+            u = stack.pop()
+            key = nodes[u]
+            unique[key] = u
+            _, lo, hi = key
+            if not marked[lo]:
+                marked[lo] = 1
+                stack.append(lo)
+            if not marked[hi]:
+                marked[hi] = 1
+                stack.append(hi)
+        self._free.clear()
+        self._free.extend(compress(range(len(nodes)), marked.translate(_UNMARKED)))
+        for memo in self._memos:
+            memo.clear()
+        self._collect_at = 2 * len(unique)
 
     # -- operators ------------------------------------------------------
 
@@ -223,9 +288,10 @@ class BddManager:
             if hi not in seen:
                 seen.add(hi)
                 stack.append(hi)
-        # children are always created before parents, so ascending ids
-        # give a bottom-up evaluation order
-        return sorted(seen)
+        # a child sits on a deeper level than its parent, and the terminals
+        # on the deepest, so descending levels give a bottom-up evaluation
+        # order; ids do not, because a collected id is reused by later nodes
+        return sorted(seen, key=nodes.__getitem__, reverse=True)
 
     def size(self, f: "Bdd") -> int:
         """Number of nodes reachable from the root, terminals included."""
@@ -280,21 +346,35 @@ class BddManager:
         return counts, ranks
 
     def validate(self) -> None:
-        """Check store invariants: reduced nodes, no duplicate triples."""
-        seen: set[tuple[int, int, int]] = set()
-        for u, (v, lo, hi) in enumerate(self._nodes):
-            if u < 2:
+        """Check store invariants.
+
+        Every slot holds a reduced, ordered node with no freed child that
+        the unique table maps back to it, or is on the free list, never
+        both; and no live handle points to a freed id.
+        """
+        nodes = self._nodes
+        free = set(self._free)
+        if len(free) != len(self._free) or free & {0, 1}:
+            raise BddError("the free list repeats an id or holds a terminal")
+        for u in range(2, len(nodes)):
+            if u in free:
                 continue
+            v, lo, hi = nodes[u]
             if lo == hi:
                 raise BddError(f"node {u} has equal children")
             if not 0 <= v < self.num_vars:
                 raise BddError(f"node {u} has invalid level {v}")
-            if self._nodes[lo][0] <= v or self._nodes[hi][0] <= v:
+            if lo in free or hi in free:
+                raise BddError(f"node {u} has a freed child")
+            if nodes[lo][0] <= v or nodes[hi][0] <= v:
                 raise BddError(f"node {u} breaks the variable order")
-            triple = (v, lo, hi)
-            if triple in seen:
-                raise BddError(f"duplicate node triple {triple}")
-            seen.add(triple)
+            if self._unique.get(nodes[u]) != u:
+                raise BddError(f"node {u} is missing from the unique table or duplicated")
+        if len(self._unique) + len(free) != len(nodes) - 2:
+            raise BddError("the unique table holds ids outside the store")
+        for root in self._refs:
+            if root in free:
+                raise BddError(f"a live handle points to freed node {root}")
 
     # -- specialty operations --------------------------------------------
 
@@ -358,17 +438,28 @@ class BddManager:
         order and each step mostly adds nodes above what is already built.
         The fold stops as soon as the accumulator is false.  The result is
         canonical, so it does not depend on the order of ``clauses``.
+
+        Each fold step is a safe point: the memo is emptied after it, and
+        once the live store has doubled since the last collection, the
+        nodes that neither a handle, the accumulator nor a clause still to
+        be folded reaches are collected.
         """
         roots = []
         for c in clauses:
             self._claim(c)
             roots.append(c.root)
         nodes = self._nodes
+        roots.sort(key=lambda u: nodes[u][0], reverse=True)
         acc = 1
-        for root in sorted(roots, key=lambda u: nodes[u][0], reverse=True):
+        for i, root in enumerate(roots):
             acc = self._apply(_AND, acc, root)
+            self._cache.clear()
             if acc == 0:
                 break
+            if self._collect_at is None:
+                self._collect_at = 2 * len(self._unique)
+            elif len(self._unique) > self._collect_at:
+                self._collect([acc, *roots[i + 1 :]])
         return Bdd(self, acc)
 
 
@@ -377,7 +468,9 @@ class Bdd:
 
     Handles compare equal exactly when they denote the same function in
     the same manager.  The usual operators are overloaded: ``&``, ``|``,
-    ``^``, ``~``, plus :meth:`implies` and :meth:`iff`.
+    ``^``, ``~``, plus :meth:`implies` and :meth:`iff`.  A handle keeps its
+    nodes from collection: it counts itself in the manager's ``_refs``
+    while it exists.
     """
 
     __slots__ = ("manager", "root")
@@ -385,6 +478,20 @@ class Bdd:
     def __init__(self, manager: BddManager, root: int):
         self.manager = manager
         self.root = root
+        refs = manager._refs
+        refs[root] = refs.get(root, 0) + 1
+
+    def __del__(self):
+        refs = self.manager._refs
+        count = refs[self.root] - 1
+        if count:
+            refs[self.root] = count
+        else:
+            del refs[self.root]
+
+    def __reduce__(self):
+        # copies go through __init__, so that they are counted too
+        return Bdd, (self.manager, self.root)
 
     def _binary(self, code: int, other: "Bdd") -> "Bdd":
         if other.manager is not self.manager:

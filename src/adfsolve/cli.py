@@ -10,18 +10,25 @@ machine-readable.
 Each subcommand is one function of the parsed arguments, and ``main``
 alone maps exceptions to exit codes: 0 success, 1 input or usage error,
 2 resource-limit abort (the xor-elimination budget of
-``formula.DEFAULT_NODE_BUDGET`` nodes, or a condition nested past the
-recursion limit).  A reader that closes stdout early (``| head``) ends
-the run with exit code 1 and no traceback.
+``formula.DEFAULT_NODE_BUDGET`` nodes, a condition nested past the
+recursion limit, or memory exhausted).  A reader that closes stdout
+early (``| head``) ends the run with exit code 1 and no traceback.
 
 Start-up is part of every query's cost, so the module imports only what
 every run needs: ``json`` is imported for ``--json`` alone and the
 brute-force ``oracle`` for ``--oracle`` alone.  A listing is written as
 joined chunks of lines of about ``CHUNK_BYTES`` each, which costs one
 system call per chunk even when stdout is unbuffered
-(``PYTHONUNBUFFERED=1``).  The chunks stay well below a pipe's capacity:
-an unbuffered write that a closing reader cuts short is not an error, so
-one write of the whole listing could lose the closed-pipe exit code.
+(``PYTHONUNBUFFERED=1``).  A plain ``--enumerate`` listing is streamed:
+each chunk is written as soon as its solutions are found, so memory does
+not grow with the listing.  ``--json`` and ``--oracle`` build the list
+first.  The chunks stay well below a pipe's capacity: an unbuffered
+write that a closing reader cuts short is not an error, so one write of
+the whole listing could lose the closed-pipe exit code.
+
+``--time`` reports the time from the start of solving until the count
+and the solutions are ready; a streamed listing is ready once it has
+been written, so its time includes the writes.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ import argparse
 import os
 import sys
 import time
+from collections.abc import Iterable
+from itertools import islice
 
 from . import formula as fmt
 from . import semantics, solutions
@@ -100,7 +109,11 @@ def _solve(args: argparse.Namespace) -> None:
     total = solutions.count(solset)
     listed = None
     if args.enumerate:
-        listed = list(solutions.enumerate_solutions(solset, args.limit))
+        found = solutions.enumerate_solutions(solset, args.limit)
+        if args.json or args.oracle:
+            listed = list(found)
+        else:
+            _write_lines(interp.format_line() for interp in found)
     elif args.sample is not None:
         try:
             listed = solutions.sample_uniform(solset, args.sample, args.seed)
@@ -121,22 +134,26 @@ def _solve(args: argparse.Namespace) -> None:
         print(json.dumps(payload))
     elif listed is not None:
         _write_lines([interp.format_line() for interp in listed])
-    else:
+    elif not args.enumerate:
         print(total)
 
     if args.time:
         print(f"time: {elapsed_ms:.1f} ms", file=sys.stderr)
 
 
-def _write_lines(lines: list[str]) -> None:
-    """Write each line and a newline to stdout, joined into chunks."""
-    if not lines:
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write each line and a newline to stdout, a joined chunk at a time
+    as the lines arrive."""
+    lines = iter(lines)
+    first = next(lines, None)
+    if first is None:
         return
     # the lines of one listing are equally long: same names, one-character values
-    step = max(1, CHUNK_BYTES // (len(lines[0]) + 1))
-    sys.stdout.writelines(
-        ["\n".join(lines[i : i + step]) + "\n" for i in range(0, len(lines), step)]
-    )
+    step = max(1, CHUNK_BYTES // (len(first) + 1))
+    chunk = [first, *islice(lines, step - 1)]
+    while chunk:
+        sys.stdout.write("\n".join(chunk) + "\n")
+        chunk = list(islice(lines, step))
 
 
 def _convert(args: argparse.Namespace) -> None:
@@ -204,13 +221,22 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_INPUT
+    except MemoryError:
+        # matched by its name alone, before any tuple of classes is built:
+        # with memory exhausted, building one raises again
+        message = "out of memory"
     except (InputError, fmt.ParseError, fmt.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (fmt.RewriteBudgetError, RuntimeError) as exc:  # RecursionError is a RuntimeError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    return EXIT_OK
+    # RecursionError is a RuntimeError
+    except (fmt.RewriteBudgetError, RuntimeError) as exc:
+        message = str(exc)
+    else:
+        return EXIT_OK
+    # printed once the handler has ended, because until then the traceback
+    # keeps the solver's frames and the memory they hold
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_LIMIT
 
 
 if __name__ == "__main__":

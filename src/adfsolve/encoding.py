@@ -106,7 +106,9 @@ class VarLayout:
         self._index = {name: i for i, name in enumerate(self.names)}
         if len(self._index) != self.n:
             raise EncodingError("duplicate argument names")
+        # keyed and valued by node ids, so a collection empties it
         self._dual_cache: dict[int, int] = {}
+        self.manager._memos.append(self._dual_cache)
         self._line = _line_template(self.names)  # read by decode
 
     @classmethod

@@ -374,3 +374,70 @@ def test_conjoin():
         man.conjoin([x[0], other.var(1)])
     with pytest.raises(BddError):
         man.conjoin([man.false, other.var(1)])
+
+
+def test_collection_keeps_live_handles_and_canonicity():
+    rng = random.Random(47)
+    man = BddManager(7)
+    exprs = [random_expr(rng, 7, 5) for _ in range(60)]
+    kept = {i: build_bdd(man, expr) for i, expr in enumerate(exprs) if i % 3 == 0}
+    for expr in exprs:
+        build_bdd(man, expr)  # garbage once built
+    live = len(man._unique)
+    man._collect()
+    man.validate()
+    assert len(man._unique) < live
+    assert man._free
+    for i, f in kept.items():
+        assert table_of_bdd(f, 7) == table_of_expr(exprs[i], 7)
+        assert build_bdd(man, exprs[i]).root == f.root
+    # new nodes take freed ids, so a child's id may now exceed its
+    # parent's; counting must not depend on id order
+    for expr in exprs:
+        f = build_bdd(man, expr)
+        table = table_of_expr(expr, 7)
+        assert table_of_bdd(f, 7) == table
+        assert f.sat_count(range(7)) == sum(table)
+    man.validate()
+    live = set(man._unique.values())
+    assert any(max(man._nodes[u][1:]) > u for u in live)
+
+
+def test_reused_ids_never_answer_from_a_stale_memo():
+    # every collection frees all nodes while the memo still holds entries
+    # on them; later rounds build new functions on the same ids
+    rng = random.Random(53)
+    man = BddManager(5)
+    for _ in range(40):
+        for _ in range(6):
+            expr = random_expr(rng, 5, 4)
+            f = build_bdd(man, expr)
+            table = table_of_expr(expr, 5)
+            assert table_of_bdd(f, 5) == table
+            levels = rng.sample(range(5), 2)
+            mask = sum(1 << v for v in levels)
+            sat = [q for q in range(32) if table[q]]
+            projected = man.exists(f, levels)
+            assert table_of_bdd(projected, 5) == [
+                any((p ^ q) & ~mask == 0 for q in sat) for p in range(32)
+            ]
+        del f, projected
+        man._collect()
+        man.validate()
+        assert not man._unique
+
+
+def test_conjoin_keeps_the_pending_clauses_of_a_generator():
+    # the handles die as the generator is consumed, so only the fold's own
+    # roots keep the clauses still to be folded; x_i <-> x_(i+n) over the
+    # order x_0 .. x_(2n-1) makes the accumulator outgrow them
+    for n in range(3, 7):
+        man = BddManager(2 * n)
+        order = list(range(n))
+        random.Random(n).shuffle(order)
+        clauses = (man.var(i).iff(man.var(i + n)) for i in order)
+        result = man.conjoin(clauses)
+        man.validate()
+        expected = [all(v[i] == v[i + n] for i in range(n)) for v in valuations(2 * n)]
+        assert table_of_bdd(result, 2 * n) == expected
+        assert result.sat_count(range(2 * n)) == 2**n

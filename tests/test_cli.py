@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, conversions."""
 
+import itertools
 import json
 import os
 import random
@@ -13,10 +14,11 @@ from adfsolve.cli import CHUNK_BYTES, main
 from adfsolve.formula import parse_adf, write_adf, write_bnet
 from adfsolve.semantics import SEMANTICS, solve
 from adfsolve.solutions import count, enumerate_solutions
-from conftest import EXAMPLE_ADF, EXAMPLE_BNET, random_adf
+from conftest import EXAMPLE_ADF, EXAMPLE_BNET, grid_adf, random_adf
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 FREE14 = " ".join(f"s(x{i}). ac(x{i},x{i})." for i in range(14))
+MIB = 1 << 20
 
 
 def child_env(unbuffered: bool) -> dict:
@@ -26,6 +28,18 @@ def child_env(unbuffered: bool) -> dict:
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return env
+
+
+def run_capped(args, cap_bytes, **kwargs):
+    """Run the CLI in a child whose address space is capped at ``cap_bytes``."""
+    code = (
+        "import resource, sys; "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap_bytes}, {cap_bytes})); "
+        "from adfsolve.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=child_env(False), timeout=120, **kwargs
+    )
 
 
 @pytest.fixture()
@@ -433,3 +447,69 @@ def test_missing_file_is_read_before_its_format_is_detected(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: cannot read {missing}: ")
+
+
+def test_listing_streams_under_a_memory_cap(tmp_path):
+    # 3**12 admissible interpretations; built as one list they need about 217 MB
+    path = tmp_path / "free12.adf"
+    path.write_text(" ".join(f"s(x{i}). ac(x{i},x{i})." for i in range(12)))
+    listing = tmp_path / "listing.txt"
+    args = ["solve", "--sem", "adm", "--enumerate", str(path)]
+    with open(listing, "wb") as out:
+        result = run_capped(args, 128 * MIB, stdout=out, stderr=subprocess.PIPE)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == b""
+    # false sorts before true at each level, so values run 0 < 1 < *
+    expected = itertools.product("01*", repeat=12)
+    with open(listing, encoding="utf-8") as lines:
+        total = 0
+        for line, values in zip(lines, expected):
+            assert line == " ".join(f"x{i}:{v}" for i, v in enumerate(values)) + "\n"
+            total += 1
+        assert lines.read() == ""
+    assert total == 3**12 == 531441
+
+
+def test_wide_grid_completes_under_a_memory_cap(tmp_path):
+    # without collection, complete on this grid peaks near 490 MB
+    path = tmp_path / "grid25x10.adf"
+    path.write_text(write_adf(grid_adf(25, 10, seed=1)))
+    result = run_capped(["solve", "--sem", "com", str(path)], 128 * MIB, capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"19683\n"
+    assert result.stderr == b""
+
+
+def test_memory_exhaustion_exits_with_limit_code(tmp_path):
+    # b_i copies a_i: with every a above every b, the two-valued set
+    # needs 2**22 nodes, far past the cap
+    n = 22
+    path = tmp_path / "copies.adf"
+    statements = [f"s(a{i})." for i in range(n)] + [f"s(b{i})." for i in range(n)]
+    statements += [f"ac(a{i},a{i}). ac(b{i},a{i})." for i in range(n)]
+    path.write_text(" ".join(statements))
+    result = run_capped(
+        ["solve", "--sem", "2v", str(path)], 64 * MIB, capture_output=True, text=True
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[0].startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("sem", SEMANTICS)
+def test_child_shuts_down_without_stderr(tmp_path, sem):
+    # diagram handles count themselves in their manager until they are
+    # deleted, also while the interpreter shuts down
+    path = tmp_path / "grid6x6.adf"
+    path.write_text(write_adf(grid_adf(6, 6)))
+    result = subprocess.run(
+        [sys.executable, "-m", "adfsolve", "solve", "--sem", sem, str(path)],
+        capture_output=True,
+        text=True,
+        env=child_env(False),
+        timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stdout.strip().isdigit()
+    assert result.stderr == ""

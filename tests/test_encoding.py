@@ -215,3 +215,24 @@ def test_interpretation_helpers():
     assert not refined.leq_info(interp)
     with pytest.raises(EncodingError, match="invalid truth value '2'"):
         Interpretation(("a", "b"), ("1", "2"))
+
+
+def test_dual_transform_after_collection():
+    # a collection frees the compiled conditions and lets later nodes take
+    # their ids, so the transform's memo must not outlive it
+    rng = random.Random(67)
+    names = ("x0", "x1", "x2", "x3")
+    layout = VarLayout(names)
+    for _ in range(40):
+        condition = random_formula(rng, names, depth=4)
+        dual = dual_transform(formula_to_bdd(condition, layout), layout)
+        fresh = VarLayout(names)
+        expected = dual_transform(formula_to_bdd(condition, fresh), fresh)
+        for values in all_interpretations(4):
+            interp = Interpretation(names, values)
+            assert dual.evaluate(encode_interpretation(interp, layout, "dual")) == (
+                expected.evaluate(encode_interpretation(interp, fresh, "dual"))
+            )
+        del dual
+        layout.manager._collect()
+        layout.manager.validate()

@@ -423,3 +423,24 @@ def test_empty_model_has_single_empty_solution():
 def test_solve_rejects_unknown_semantics():
     with pytest.raises(ValueError):
         solve(parse_adf(EXAMPLE_ADF), "naive")
+
+
+def test_one_layout_serves_every_semantics():
+    # each fold collects what the conditions compiled before it left dead,
+    # so a later solve on the same layout must find none of it in a memo
+    rng = random.Random(127)
+    for _ in range(8):
+        adf = random_adf(rng, rng.randint(4, 7))
+        layout = VarLayout.for_adf(adf)
+        for sem in SEMANTICS + SEMANTICS:
+            assert count(solve(adf, sem, layout)) == len(brute_semantics(adf, sem))
+            # a stale memo answer can leave a cycle that a later walk never leaves
+            layout.manager.validate()
+
+
+def test_complete_on_a_wide_grid_keeps_its_store_small():
+    # folds collect their dead nodes; without that the store reaches 289 K
+    solset = solve(grid_adf(25, 8, seed=1), "com")
+    assert count(solset) == 2187
+    assert len(solset.layout.manager._nodes) < 60_000
+    solset.layout.manager.validate()
