@@ -8,12 +8,15 @@ represent the same Boolean function exactly when their root integers are
 equal.
 
 The engine has three binary operators, conjunction, disjunction and
-exclusive or, plus negation; implication and equivalence are derived from
-them.  One memoized rebuild pass serves both existential quantification
-and the monotone upward closure of a set under bitwise inclusion over a
-given group of variables.  The minimal members of a set under that
-inclusion are built on the closure in one further pass, and model
-counting is one bottom-up pass.
+exclusive or; negation is exclusive or with true, and implication and
+equivalence are derived from them.  One rebuild pass serves both
+existential quantification and the monotone upward closure of a set
+under bitwise inclusion over a given group of variables.  The minimal
+members of a set under that inclusion are built on the closure in one
+further pass, and model counting is one bottom-up pass.  Constructions
+over a level set are manager methods, queries on one diagram ``Bdd``
+methods.  A single memo, keyed by an opcode and operand ids, serves the
+three operators, the rebuild pass and ``encoding``'s dual transform.
 
 Memory is bounded at safe points, the steps of ``conjoin``'s fold.  The
 memo lives one fold step: it is emptied after each step, so it holds only
@@ -24,10 +27,10 @@ Once the live store has doubled since the last collection (or, before
 the first, since the first fold step), a fold step marks what those
 roots reach and frees the rest: the unique table is refilled with the
 marked nodes, freed ids go on a free list that later nodes reuse, and
-every memo keyed by node ids is emptied, so no reused id answers through
-a stale entry.  Nodes never move, so every handle stays valid.  Because
-ids are reused, a child's id may exceed its parent's; bottom-up passes
-order nodes by descending level instead.
+the memo is emptied, so no reused id answers through a stale entry.
+Nodes never move, so every handle stays valid.  Because ids are reused,
+a child's id may exceed its parent's; bottom-up passes order nodes by
+descending level instead.
 
 A manager and every diagram it owns belong to a single thread; distinct
 managers are fully independent.
@@ -44,8 +47,8 @@ class BddError(Exception):
     """Invalid use of the diagram engine (mixed managers, bad supports)."""
 
 
-# opcodes for the shared memo cache
-_AND, _OR, _XOR, _NOT, _EXISTS, _UP = range(6)
+# opcodes for the memo; _DUAL belongs to encoding.dual_transform
+_AND, _OR, _XOR, _EXISTS, _UP, _DUAL = range(6)
 
 # a collection's mark bytes -> 1 where a slot is free
 _UNMARKED = bytes.maketrans(b"\x00\x01", b"\x01\x00")
@@ -70,8 +73,6 @@ class BddManager:
         self._free: list[int] = []
         # root -> number of live Bdd handles on it
         self._refs: dict[int, int] = {}
-        # every memo keyed or valued by node ids; a collection empties them
-        self._memos: list[dict] = [self._cache]
         # a fold step collects once the live store exceeds this size; the
         # first fold step sets it
         self._collect_at: int | None = None
@@ -129,10 +130,10 @@ class BddManager:
         """Free every node that no live handle and none of ``roots`` reach.
 
         One pass marks the reachable nodes and refills the unique table
-        with them; every unmarked slot goes on the free list, and every
-        memo keyed by node ids is emptied.  The table and the list are
-        refilled in place: new containers of that size would be young
-        to Python's cyclic collector, which would traverse them again.
+        with them; every unmarked slot goes on the free list, and the memo
+        is emptied.  The table and the list are refilled in place: new
+        containers of that size would be young to Python's cyclic
+        collector, which would traverse them again.
         """
         nodes = self._nodes
         marked = bytearray(len(nodes))
@@ -155,8 +156,7 @@ class BddManager:
                 stack.append(hi)
         self._free.clear()
         self._free.extend(compress(range(len(nodes)), marked.translate(_UNMARKED)))
-        for memo in self._memos:
-            memo.clear()
+        self._cache.clear()
         self._collect_at = 2 * len(unique)
 
     # -- operators ------------------------------------------------------
@@ -166,8 +166,8 @@ class BddManager:
             raise BddError("operands belong to different managers")
 
     def _apply(self, op: int, a: int, b: int) -> int:
-        # constant and equal operands are settled before the memo lookup;
-        # all three operators commute, so ordered operands share cache keys
+        # operands that settle the result skip the memo lookup; all three
+        # operators commute, so ordered operands share cache keys
         if op == _AND:
             if a == 0 or b == 0:
                 return 0
@@ -182,17 +182,13 @@ class BddManager:
                 return b
             if b == 0:
                 return a
-        else:  # _XOR
+        else:  # _XOR; a true operand recurses down to XOR(1, 0) and XOR(1, 1)
             if a == b:
                 return 0
             if a == 0:
                 return b
             if b == 0:
                 return a
-            if a == 1:
-                return self._not(b)
-            if b == 1:
-                return self._not(a)
         if a > b:
             a, b = b, a
         key = (op, a, b)
@@ -213,18 +209,6 @@ class BddManager:
         else:
             b0 = b1 = b
         result = self._mk(v, self._apply(op, a0, b0), self._apply(op, a1, b1))
-        self._cache[key] = result
-        return result
-
-    def _not(self, a: int) -> int:
-        if a < 2:
-            return 1 - a
-        key = (_NOT, a)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        v, lo, hi = self._nodes[a]
-        result = self._mk(v, self._not(lo), self._not(hi))
         self._cache[key] = result
         return result
 
@@ -259,19 +243,7 @@ class BddManager:
         self._cache[key] = result
         return result
 
-    # -- evaluation, counting, inspection --------------------------------
-
-    def evaluate(self, f: "Bdd", valuation: Sequence[bool]) -> bool:
-        """Follow the decision path selected by ``valuation``."""
-        self._claim(f)
-        if len(valuation) != self.num_vars:
-            raise BddError("valuation length does not match manager variables")
-        nodes = self._nodes
-        u = f.root
-        while u > 1:
-            v, lo, hi = nodes[u]
-            u = hi if valuation[v] else lo
-        return u == 1
+    # -- counting and inspection -----------------------------------------
 
     def _reachable(self, root: int) -> list[int]:
         seen = {root}
@@ -292,27 +264,6 @@ class BddManager:
         # on the deepest, so descending levels give a bottom-up evaluation
         # order; ids do not, because a collected id is reused by later nodes
         return sorted(seen, key=nodes.__getitem__, reverse=True)
-
-    def size(self, f: "Bdd") -> int:
-        """Number of nodes reachable from the root, terminals included."""
-        self._claim(f)
-        return len(self._reachable(f.root))
-
-    def support(self, f: "Bdd") -> set[int]:
-        """Set of variable levels the function depends on."""
-        self._claim(f)
-        nodes = self._nodes
-        return {nodes[u][0] for u in self._reachable(f.root) if u > 1}
-
-    def sat_count(self, f: "Bdd", over: Iterable[int]) -> int:
-        """Exact number of satisfying assignments to the ``over`` variables.
-
-        The count is an ordinary Python integer, so it stays exact far
-        beyond 64 bits.  ``f`` must not depend on variables outside
-        ``over``.
-        """
-        counts, ranks = self.model_counts(f, sorted(set(over)))
-        return counts[f.root] << ranks[f.root]
 
     def model_counts(
         self, f: "Bdd", levels: Sequence[int]
@@ -350,7 +301,8 @@ class BddManager:
 
         Every slot holds a reduced, ordered node with no freed child that
         the unique table maps back to it, or is on the free list, never
-        both; and no live handle points to a freed id.
+        both; no live handle points to a freed id; and no memo entry names
+        a freed id or one past the store.
         """
         nodes = self._nodes
         free = set(self._free)
@@ -375,6 +327,11 @@ class BddManager:
         for root in self._refs:
             if root in free:
                 raise BddError(f"a live handle points to freed node {root}")
+        for key, result in self._cache.items():
+            # position 0 is the opcode; a rebuild key also holds its levels
+            for u in (*key[1:], result):
+                if isinstance(u, int) and (u in free or not 0 <= u < len(nodes)):
+                    raise BddError(f"the memo names freed or unknown node {u}")
 
     # -- specialty operations --------------------------------------------
 
@@ -416,7 +373,7 @@ class BddManager:
             memo[key] = result
             return result
 
-        return Bdd(self, self._apply(_AND, f.root, self._not(above(f.root, 0))))
+        return Bdd(self, self._apply(_AND, f.root, self._apply(_XOR, above(f.root, 0), 1)))
 
     def upward_closure(self, f: "Bdd", over: Iterable[int]) -> "Bdd":
         """Close the satisfying set of ``f`` upward under bitwise inclusion.
@@ -494,8 +451,7 @@ class Bdd:
         return Bdd, (self.manager, self.root)
 
     def _binary(self, code: int, other: "Bdd") -> "Bdd":
-        if other.manager is not self.manager:
-            raise BddError("operands belong to different managers")
+        self.manager._claim(other)
         return Bdd(self.manager, self.manager._apply(code, self.root, other.root))
 
     def __and__(self, other: "Bdd") -> "Bdd":
@@ -515,7 +471,7 @@ class Bdd:
         return ~self ^ other
 
     def __invert__(self) -> "Bdd":
-        return Bdd(self.manager, self.manager._not(self.root))
+        return Bdd(self.manager, self.manager._apply(_XOR, self.root, 1))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -536,19 +492,34 @@ class Bdd:
         return self.root == 1
 
     def evaluate(self, valuation: Sequence[bool]) -> bool:
-        return self.manager.evaluate(self, valuation)
-
-    def exists(self, variables: Iterable[int]) -> "Bdd":
-        return self.manager.exists(self, variables)
+        """Follow the decision path selected by ``valuation``."""
+        if len(valuation) != self.manager.num_vars:
+            raise BddError("valuation length does not match manager variables")
+        nodes = self.manager._nodes
+        u = self.root
+        while u > 1:
+            v, lo, hi = nodes[u]
+            u = hi if valuation[v] else lo
+        return u == 1
 
     def sat_count(self, over: Iterable[int]) -> int:
-        return self.manager.sat_count(self, over)
+        """Exact number of satisfying assignments to the ``over`` variables.
+
+        The count is an ordinary Python integer, so it stays exact far
+        beyond 64 bits.  The function must not depend on variables outside
+        ``over``.
+        """
+        counts, ranks = self.manager.model_counts(self, sorted(set(over)))
+        return counts[self.root] << ranks[self.root]
 
     def support(self) -> set[int]:
-        return self.manager.support(self)
+        """Set of variable levels the function depends on."""
+        nodes = self.manager._nodes
+        return {nodes[u][0] for u in self.manager._reachable(self.root) if u > 1}
 
     def size(self) -> int:
-        return self.manager.size(self)
+        """Number of nodes reachable from the root, terminals included."""
+        return len(self.manager._reachable(self.root))
 
     def __repr__(self) -> str:
         return f"Bdd(root={self.root}, size={self.size()})"

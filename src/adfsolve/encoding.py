@@ -19,7 +19,7 @@ becomes ``(top_i & T(hi)) | (bot_i & T(lo))``.
 
 from __future__ import annotations
 
-from .bdd import _OR, Bdd, BddManager
+from .bdd import _DUAL, _OR, Bdd, BddManager
 from .formula import Adf, And, Const, Formula, Iff, Imp, Not, Or, Var, _Record, _set
 
 
@@ -106,9 +106,6 @@ class VarLayout:
         self._index = {name: i for i, name in enumerate(self.names)}
         if len(self._index) != self.n:
             raise EncodingError("duplicate argument names")
-        # keyed and valued by node ids, so a collection empties it
-        self._dual_cache: dict[int, int] = {}
-        self.manager._memos.append(self._dual_cache)
         self._line = _line_template(self.names)  # read by decode
 
     @classmethod
@@ -186,18 +183,20 @@ def dual_transform(f: Bdd, layout: VarLayout) -> Bdd:
     holds exactly when some two-valued refinement of the assignment
     satisfies ``f``; behaviour on invalid ``(0,0)`` pairs is unconstrained,
     so consumers conjoin the validity constraint.  Linear in the diagram
-    size, memoized per layout.
+    size; results are kept in the manager's memo until the next fold step
+    or collection.
     """
     man = layout.manager
     if f.manager is not man:
         raise EncodingError("function belongs to a different manager")
-    cache = layout._dual_cache
+    cache = man._cache
     nodes = man._nodes
 
     def rec(u: int) -> int:
         if u < 2:
             return u
-        found = cache.get(u)
+        key = (_DUAL, u)
+        found = cache.get(key)
         if found is not None:
             return found
         level, lo, hi = nodes[u]
@@ -211,7 +210,7 @@ def dual_transform(f: Bdd, layout: VarLayout) -> Bdd:
             man._mk(level + 1, 0, can_false),
             man._mk(level + 1, can_true, either),
         )
-        cache[u] = result
+        cache[key] = result
         return result
 
     return Bdd(man, rec(f.root))

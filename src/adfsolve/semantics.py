@@ -180,7 +180,7 @@ def stable(
         clauses.append(star.implies(~gamma.top_fn | gamma.bot_fn))
         not_star.append(~star)
     clauses.append(~man.conjoin(not_star))
-    unstable = man.conjoin(clauses).exists(map(layout.bot, range(layout.n)))
+    unstable = man.exists(man.conjoin(clauses), map(layout.bot, range(layout.n)))
     return SolutionSet(tv & ~unstable, layout, "direct", iterations=1)
 
 

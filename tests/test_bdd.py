@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from adfsolve.bdd import Bdd, BddError, BddManager
+from adfsolve.bdd import _AND, _EXISTS, Bdd, BddError, BddManager
 
 
 def random_expr(rng, nvars, depth):
@@ -129,16 +129,27 @@ def test_apply_matches_pointwise_tables():
 
 
 def test_negate():
+    # negation is exclusive or with true, so it must agree with ``^`` and
+    # keep the diagram's shape, swapping only the terminals
     man = BddManager(3)
     assert (~man.true).is_false
     x0, x1 = man.var(0), man.var(1)
     assert ~(x0 & x1) == ~x0 | ~x1
     rng = random.Random(7)
-    for _ in range(30):
-        expr = random_expr(rng, 3, 4)
+    exprs = [(1, ("const", False)), (1, ("const", True))]
+    for _ in range(200):
+        nvars = rng.randint(1, 7)
+        exprs.append((nvars, random_expr(rng, nvars, 5)))
+    for nvars, expr in exprs:
+        man = BddManager(nvars)
         f = build_bdd(man, expr)
-        assert table_of_bdd(~f, 3) == [not v for v in table_of_expr(expr, 3)]
-        assert ~~f == f
+        g = build_bdd(man, random_expr(rng, nvars, 4))
+        neg = ~f
+        assert table_of_bdd(neg, nvars) == [not v for v in table_of_expr(expr, nvars)]
+        assert (~neg).root == f.root
+        assert (f ^ man.true).root == neg.root
+        assert neg.size() == f.size()
+        assert f.iff(g) == ~(f ^ g)
 
 
 def test_canonicity_across_construction_orders():
@@ -163,14 +174,14 @@ def test_store_stays_reduced():
 def test_exists():
     man = BddManager(6)
     x0, x1 = man.var(0), man.var(1)
-    assert (x0 & x1).exists([0]) == x1
-    assert man.false.exists([0, 3]).is_false
+    assert man.exists(x0 & x1, [0]) == x1
+    assert man.exists(man.false, [0, 3]).is_false
     rng = random.Random(11)
     for _ in range(40):
         expr = random_expr(rng, 6, 4)
         f = build_bdd(man, expr)
         table = table_of_expr(expr, 6)
-        g = f.exists([2, 4])
+        g = man.exists(f, [2, 4])
         for p, v in enumerate(valuations(6)):
             expected = any(
                 table[(p & ~(1 << 2) & ~(1 << 4)) | (b2 << 2) | (b4 << 4)]
@@ -189,7 +200,7 @@ def test_exists_negation_duality():
         expr = random_expr(rng, 5, 4)
         f = build_bdd(man, expr)
         table = table_of_expr(expr, 5)
-        forall = ~((~f).exists([1, 3]))
+        forall = ~man.exists(~f, [1, 3])
         for p, v in enumerate(valuations(5)):
             expected = all(
                 table[(p & ~(1 << 1) & ~(1 << 3)) | (b1 << 1) | (b3 << 3)]
@@ -425,6 +436,31 @@ def test_reused_ids_never_answer_from_a_stale_memo():
         man._collect()
         man.validate()
         assert not man._unique
+
+
+def test_validate_rejects_a_stale_memo_entry():
+    man = BddManager(4)
+    dead = man.var(0) & man.var(1)
+    kept = man.var(2) | man.var(3)
+    del dead
+    man._collect()
+    man.validate()
+    stale = man._free[0]
+    past = len(man._nodes)
+    entries = [
+        ((_AND, stale, kept.root), kept.root),
+        ((_AND, 1, kept.root), stale),
+        ((_EXISTS, past, frozenset([2])), kept.root),
+    ]
+    for key, result in entries:
+        man._cache.clear()
+        man._cache[key] = result
+        with pytest.raises(BddError):
+            man.validate()
+    # live ids pass, and a rebuild key's level set is not read as ids
+    man._cache.clear()
+    man._cache[_EXISTS, kept.root, frozenset([2, past])] = man.var(3).root
+    man.validate()
 
 
 def test_conjoin_keeps_the_pending_clauses_of_a_generator():
