@@ -11,18 +11,20 @@ Two formats are supported:
   ``!``, parentheses, constants ``0``/``1``), where a name that only ever
   appears on right-hand sides becomes a free input.
 
-Writing ``.bnet`` rewrites xor/iff/imp into and/or/not first; that
-rewrite can explode, so it is guarded by a node budget.
+Both parsers keep one offset into the text they scan and work out a
+syntax error's line and column from it only when they raise; positions
+count from 1 in the file.  Writing ``.bnet`` rewrites xor/iff/imp into
+and/or/not and emits the text in the same walk; that rewrite can
+explode, so each node's rewritten size is checked against a node budget
+before its text is built.
 """
 
 from __future__ import annotations
 
+import re
 from operator import attrgetter
 
 DEFAULT_NODE_BUDGET = 1_000_000
-
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_NAME_CHARS = _NAME_START | set("0123456789_")
 
 
 class ParseError(Exception):
@@ -224,79 +226,88 @@ class Adf(_Record):
         )
 
 
-# -- statement format ------------------------------------------------------
+# -- scanning, shared by both formats ----------------------------------------
+
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_SPACE = re.compile(r"\s*")
 
 
 class _Scanner:
-    def __init__(self, text: str):
+    """An offset into ``text``; line and column are worked out on error.
+
+    ``line`` numbers the text's first line, so a scanner over one network
+    line reports that line.  Lines end at ``\\n`` and every other
+    character, tabs and carriage returns included, is one column.
+    """
+
+    def __init__(self, text: str, pos: int = 0, line: int = 1):
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+        self.pos = pos
+        self.line = line
 
     def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.column)
-
-    def _advance(self, ch: str) -> None:
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-
-    def skip_space(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self._advance(self.text[self.pos])
-
-    def at_end(self) -> bool:
-        self.skip_space()
-        return self.pos >= len(self.text)
+        text, pos = self.text, self.pos
+        return ParseError(
+            message, self.line + text.count("\n", 0, pos), pos - text.rfind("\n", 0, pos)
+        )
 
     def peek(self) -> str:
-        self.skip_space()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next character after white space, or ``""`` at the end."""
+        text, pos = self.text, self.pos
+        ch = text[pos : pos + 1]
+        if ch.isspace():
+            self.pos = pos = _SPACE.match(text, pos).end()
+            ch = text[pos : pos + 1]
+        return ch
+
+    def at_end(self) -> bool:
+        return not self.peek()
 
     def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            found = self.peek() or "end of input"
-            raise self.error(f"expected {ch!r}, found {found!r}")
-        self._advance(ch)
+        found = self.peek()
+        if found != ch:
+            raise self.error(f"expected {ch!r}, found {found or 'end of input'!r}")
+        self.pos += 1
 
     def name(self) -> str:
-        self.skip_space()
-        if self.pos >= len(self.text) or self.text[self.pos] not in _NAME_START:
-            found = self.peek() or "end of input"
-            raise self.error(f"expected a name, found {found!r}")
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _NAME_CHARS:
-            self._advance(self.text[self.pos])
-        return self.text[start : self.pos]
+        found = self.peek()
+        match = _NAME.match(self.text, self.pos)
+        if match is None:
+            raise self.error(f"expected a name, found {found or 'end of input'!r}")
+        self.pos = match.end()
+        return match.group()
+
+
+# -- statement format ------------------------------------------------------
+
+# the connectives' keywords, read by the parser and the writer
+_KEYWORDS = {"neg": Not, "and": And, "or": Or, "imp": Imp, "iff": Iff, "xor": Xor}
+_KEYWORD_OF = {cls: keyword for keyword, cls in _KEYWORDS.items()}
 
 
 def _parse_functional(scanner: _Scanner) -> Formula:
     token = scanner.name()
     if scanner.peek() != "(":
         return Var(token)
-    scanner.expect("(")
+    scanner.pos += 1
     if token == "c":
         flag = scanner.name()
         if flag not in ("v", "f"):
             raise scanner.error(f"constant must be c(v) or c(f), found c({flag})")
         scanner.expect(")")
         return Const(flag == "v")
-    if token == "neg":
+    connective = _KEYWORDS.get(token)
+    if connective is None:
+        raise scanner.error(f"unknown connective {token!r}")
+    if connective is Not:
         child = _parse_functional(scanner)
         scanner.expect(")")
         return Not(child)
-    binary = {"and": And, "or": Or, "imp": Imp, "iff": Iff, "xor": Xor}.get(token)
-    if binary is None:
-        raise scanner.error(f"unknown connective {token!r}")
     left = _parse_functional(scanner)
     scanner.expect(",")
     right = _parse_functional(scanner)
     scanner.expect(")")
-    return binary(left, right)
+    return connective(left, right)
 
 
 def parse_adf(text: str) -> Adf:
@@ -346,10 +357,10 @@ def _write_functional(formula: Formula) -> str:
         return formula.name
     if isinstance(formula, Const):
         return "c(v)" if formula.value else "c(f)"
+    keyword = _KEYWORD_OF[type(formula)]
     if isinstance(formula, Not):
-        return f"neg({_write_functional(formula.child)})"
-    connective = {And: "and", Or: "or", Imp: "imp", Iff: "iff", Xor: "xor"}[type(formula)]
-    return f"{connective}({_write_functional(formula.left)},{_write_functional(formula.right)})"
+        return f"{keyword}({_write_functional(formula.child)})"
+    return f"{keyword}({_write_functional(formula.left)},{_write_functional(formula.right)})"
 
 
 def write_adf(adf: Adf) -> str:
@@ -364,44 +375,34 @@ def write_adf(adf: Adf) -> str:
 # -- network table format ----------------------------------------------------
 
 
-class _LineScanner(_Scanner):
-    def __init__(self, text: str, line: int, column_offset: int):
-        super().__init__(text)
-        self.line = line
-        self._offset = column_offset
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.column + self._offset)
-
-
-def _parse_bnet_or(scanner: _LineScanner) -> Formula:
+def _parse_bnet_or(scanner: _Scanner) -> Formula:
     left = _parse_bnet_and(scanner)
     while scanner.peek() == "|":
-        scanner.expect("|")
+        scanner.pos += 1
         left = Or(left, _parse_bnet_and(scanner))
     return left
 
 
-def _parse_bnet_and(scanner: _LineScanner) -> Formula:
+def _parse_bnet_and(scanner: _Scanner) -> Formula:
     left = _parse_bnet_atom(scanner)
     while scanner.peek() == "&":
-        scanner.expect("&")
+        scanner.pos += 1
         left = And(left, _parse_bnet_atom(scanner))
     return left
 
 
-def _parse_bnet_atom(scanner: _LineScanner) -> Formula:
+def _parse_bnet_atom(scanner: _Scanner) -> Formula:
     ch = scanner.peek()
     if ch == "!":
-        scanner.expect("!")
+        scanner.pos += 1
         return Not(_parse_bnet_atom(scanner))
     if ch == "(":
-        scanner.expect("(")
+        scanner.pos += 1
         inner = _parse_bnet_or(scanner)
         scanner.expect(")")
         return inner
     if ch == "0" or ch == "1":
-        scanner.expect(ch)
+        scanner.pos += 1
         return Const(ch == "1")
     return Var(scanner.name())
 
@@ -427,13 +428,13 @@ def parse_bnet(text: str) -> Adf:
             continue
         if "," not in line:
             raise ParseError("expected 'name, expression'", lineno, len(raw) + 1)
-        name_part, expr_part = line.split(",", 1)
-        name = name_part.strip()
-        if not name or name[0] not in _NAME_START or any(c not in _NAME_CHARS for c in name):
-            raise ParseError(f"invalid target name {name_part.strip()!r}", lineno, 1)
+        name = line.split(",", 1)[0].strip()
+        if not _NAME.fullmatch(name):
+            raise ParseError(f"invalid target name {name!r}", lineno, 1)
         if name in conditions:
             raise FormatError(f"duplicate line for target {name!r}")
-        scanner = _LineScanner(expr_part, lineno, raw.index(",") + 1)
+        # the expression runs from the comma to the line's last non-space
+        scanner = _Scanner(raw.rstrip(), raw.index(",") + 1, lineno)
         condition = _parse_bnet_or(scanner)
         if not scanner.at_end():
             raise scanner.error(f"unexpected trailing input {scanner.peek()!r}")
@@ -452,75 +453,49 @@ def parse_bnet(text: str) -> Adf:
     return Adf(tuple(order), tuple(conditions[name] for name in order))
 
 
-def _eliminate(formula: Formula, argument: str, budget: int) -> Formula:
-    """Rewrite xor/iff/imp into and/or/not under a tree-size budget.
-
-    Duplicating operands shares sub-ASTs, so memory stays linear; the
-    budget caps the equivalent tree size, which is what emission costs.
-    """
-
-    def rec(f: Formula) -> tuple[Formula, int]:
-        if isinstance(f, (Var, Const)):
-            return f, 1
-        if isinstance(f, Not):
-            child, size = rec(f.child)
-            if size + 1 > budget:
-                raise RewriteBudgetError(argument, budget)
-            return Not(child), size + 1
-        left, ls = rec(f.left)
-        right, rs = rec(f.right)
-        if isinstance(f, And):
-            size = ls + rs + 1
-            out: Formula = And(left, right)
-        elif isinstance(f, Or):
-            size = ls + rs + 1
-            out = Or(left, right)
-        elif isinstance(f, Imp):
-            size = ls + rs + 2
-            out = Or(Not(left), right)
-        elif isinstance(f, Iff):
-            size = 2 * (ls + rs) + 5
-            out = Or(And(left, right), And(Not(left), Not(right)))
-        else:
-            size = 2 * (ls + rs) + 5
-            out = Or(And(left, Not(right)), And(Not(left), right))
-        if size > budget:
-            raise RewriteBudgetError(argument, budget)
-        return out, size
-
-    return rec(formula)[0]
-
-
-def _write_infix(formula: Formula) -> str:
-    if isinstance(formula, Var):
-        return formula.name
-    if isinstance(formula, Const):
-        return "1" if formula.value else "0"
-    if isinstance(formula, Not):
-        inner = _write_infix(formula.child)
-        if isinstance(formula.child, (And, Or)):
-            return f"!({inner})"
-        return f"!{inner}"
-    if not isinstance(formula, (And, Or)):
-        raise ValueError(f"connective {type(formula).__name__} must be eliminated first")
-    op = " & " if isinstance(formula, And) else " | "
-    parts = []
-    for side in (formula.left, formula.right):
-        text = _write_infix(side)
-        if isinstance(side, (And, Or)):
-            text = f"({text})"
-        parts.append(text)
-    return op.join(parts)
+# and/or/not form of each binary connective: the rewritten tree's size as
+# (factor on the operands' sizes, own nodes), and its text over the
+# operands ``a`` and ``b``, each parenthesized when it is itself and/or
+_INFIX = {
+    And: (1, 1, "{a} & {b}"),
+    Or: (1, 1, "{a} | {b}"),
+    Imp: (1, 2, "!{a} | {b}"),
+    Iff: (2, 5, "({a} & {b}) | (!{a} & !{b})"),
+    Xor: (2, 5, "({a} & !{b}) | (!{a} & {b})"),
+}
 
 
 def write_bnet(adf: Adf, budget: int = DEFAULT_NODE_BUDGET) -> str:
-    """Emit the network table format, eliminating xor/iff/imp first.
+    """Emit the network table format, rewriting xor/iff/imp into and/or/not.
 
     Raises :class:`RewriteBudgetError` naming the offending argument when
-    the eliminated condition would exceed ``budget`` AST nodes.
+    the rewritten condition would exceed ``budget`` AST nodes.  Each
+    node's rewritten size is checked before its text is built; a leaf
+    counts one node and is never refused.
     """
+
+    def infix(f: Formula) -> tuple[str, int, bool]:
+        # (text, rewritten tree size, whether the rewritten root is and/or)
+        if isinstance(f, Var):
+            return f.name, 1, False
+        if isinstance(f, Const):
+            return ("1" if f.value else "0"), 1, False
+        if isinstance(f, Not):
+            text, size, compound = infix(f.child)
+            if size + 1 > budget:
+                raise RewriteBudgetError(name, budget)
+            return (f"!({text})" if compound else f"!{text}"), size + 1, False
+        left, left_size, left_compound = infix(f.left)
+        right, right_size, right_compound = infix(f.right)
+        factor, own, template = _INFIX[type(f)]
+        size = factor * (left_size + right_size) + own
+        if size > budget:
+            raise RewriteBudgetError(name, budget)
+        a = f"({left})" if left_compound else left
+        b = f"({right})" if right_compound else right
+        return template.format(a=a, b=b), size, True
+
     lines = ["targets, factors"]
     for name, condition in zip(adf.arguments, adf.conditions):
-        rewritten = _eliminate(condition, name, budget)
-        lines.append(f"{name}, {_write_infix(rewritten)}")
+        lines.append(f"{name}, {infix(condition)[0]}")
     return "\n".join(lines) + "\n"

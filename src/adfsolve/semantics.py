@@ -166,6 +166,11 @@ def stable(
     unfounded.  ``sigma_U`` is the valid dual interpretation whose top is
     the model and whose bot is clear exactly on ``T`` minus ``U``, so
     projecting the bot variables away leaves the unstable models.
+
+    "Not forced true" is the dual's ``bot_fn`` alone.  The exact clause
+    is ``~top_fn | bot_fn``, but every valid dual point has a completion,
+    so ``top_fn | bot_fn`` holds there; the validity clauses sit in the
+    same fold, so the two clauses agree wherever the conjunction can hold.
     """
     man = layout.manager
     tv = two_valued_set.bdd
@@ -177,7 +182,7 @@ def stable(
         bot = man.var(layout.bot(i))
         star = top & bot
         clauses.append(top | bot)
-        clauses.append(star.implies(~gamma.top_fn | gamma.bot_fn))
+        clauses.append(star.implies(gamma.bot_fn))
         not_star.append(~star)
     clauses.append(~man.conjoin(not_star))
     unstable = man.exists(man.conjoin(clauses), map(layout.bot, range(layout.n)))

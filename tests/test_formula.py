@@ -1,5 +1,6 @@
 """Parsers, writers, the xor elimination, and their round trips."""
 
+import hashlib
 import random
 from itertools import product
 
@@ -83,6 +84,61 @@ def test_parse_adf_syntax_error_carries_location():
         parse_adf("q(a).")
     with pytest.raises(ParseError, match="unknown connective"):
         parse_adf("s(a). ac(a, nand(a,a)).")
+
+
+# (input, message, line, column); columns count every character from 1,
+# tabs and carriage returns included
+ADF_PARSE_ERRORS = [
+    ("s(a).\nac(a, and(a,,a)).", "expected a name, found ','", 2, 13),
+    ("s(a). ac(a, foo(a)).", "unknown connective 'foo'", 1, 17),
+    ("s(a).\r\nac(a,\r\n b c).", "expected ')', found 'c'", 3, 4),
+    ("s(a).\tac(a,\tneg(a)", "expected ')', found 'end of input'", 1, 19),
+    ("s(a).\n\nac(a, and(a b)).", "expected ',', found 'b'", 3, 13),
+    ("s(a). q(a).", "expected 's' or 'ac' statement, found 'q'", 1, 8),
+    ("s(a). ac(a, c(x)).", "constant must be c(v) or c(f), found c(x)", 1, 16),
+    ("s(1a).", "expected a name, found '1'", 1, 3),
+    ("s(a). ac(a,a). s", "expected '(', found 'end of input'", 1, 17),
+    ("s(a).\x0bac(a, ~a).", "expected a name, found '~'", 1, 13),
+    ("  \t(", "expected a name, found '('", 1, 4),
+    ("s(a). ac(a, \u00e9).", "expected a name, found '\u00e9'", 1, 13),
+]
+
+BNET_PARSE_ERRORS = [
+    ("targets, factors\r\na, (b  \r\n", "expected ')', found 'end of input'", 2, 6),
+    ("targets, factors\n\t  a,\tb & & c  \n", "expected a name, found '&'", 2, 11),
+    ("targets, factors\n 1a, b\n", "invalid target name '1a'", 2, 1),
+    ("targets, factors\na b\n", "expected 'name, expression'", 2, 4),
+    ("targets, factors\r\n  a b  \r\n", "expected 'name, expression'", 2, 8),
+    ("targets, factors\na, b c\n", "unexpected trailing input 'c'", 2, 6),
+    ("a, b\n", "expected header 'targets, factors'", 1, 1),
+    ("", "expected header 'targets, factors'", 1, 1),
+    ("# only a comment\n", "expected header 'targets, factors'", 1, 1),
+    ("targets, factors\na, b\n\nc, !\n", "expected a name, found 'end of input'", 4, 5),
+    ("targets, factors\na, b ^ c\n", "unexpected trailing input '^'", 2, 6),
+    ("targets, factors\na, b |\n", "expected a name, found 'end of input'", 2, 7),
+    ("targets, factors\n\u00e4, b\n", "invalid target name '\u00e4'", 2, 1),
+    ("targets, factors\na, \u00e9\n", "expected a name, found '\u00e9'", 2, 4),
+    ("targets, factors\x0ba, (b\n", "expected ')', found 'end of input'", 2, 6),
+    ("targets, factors\n, b\n", "invalid target name ''", 2, 1),
+    (
+        "targets, factors\n\ta ,  ( b | 1 ) & ! (0\t \n",
+        "expected ')', found 'end of input'",
+        2,
+        23,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, line, column",
+    [(parse_adf, *row) for row in ADF_PARSE_ERRORS]
+    + [(parse_bnet, *row) for row in BNET_PARSE_ERRORS],
+)
+def test_parse_error_positions_are_pinned(parse, text, message, line, column):
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    assert str(excinfo.value) == f"line {line}, column {column}: {message}"
+    assert (excinfo.value.line, excinfo.value.column) == (line, column)
 
 
 def test_adf_round_trip():
@@ -170,6 +226,47 @@ def test_write_bnet_budget_abort():
         write_bnet(adf)
     # generous budget allows a shallow one through
     assert "&" in write_bnet(Adf(("a",), (Xor(Var("a"), Var("a")),)), budget=100)
+
+
+def smallest_budget(adf):
+    """Least node budget under which ``write_bnet`` accepts ``adf``."""
+    hi = 1
+    while True:
+        try:
+            write_bnet(adf, hi)
+            break
+        except RewriteBudgetError:
+            hi *= 2
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            write_bnet(adf, mid)
+            hi = mid
+        except RewriteBudgetError:
+            lo = mid + 1
+    return lo
+
+
+def test_writers_bytes_and_budgets_are_pinned():
+    # 300 random models over all five connectives and constants, depth 0-6;
+    # a change to either writer's bytes or to the budget's count shows here
+    rng = random.Random(14)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        adf = random_adf(rng, rng.randint(1, 5), depth=rng.randint(0, 6))
+        digest.update(write_adf(adf).encode())
+        digest.update(write_bnet(adf).encode())
+        digest.update(f"{smallest_budget(adf)}\n".encode())
+    assert digest.hexdigest() == (
+        "081f26a410ae1fee5da8ae333ae04e99ee8bcc43de24eddb5a79f7a417a86433"
+    )
+
+
+def test_single_variable_condition_writes_at_budget_zero():
+    assert write_bnet(Adf(("a",), (Var("a"),)), budget=0) == "targets, factors\na, a\n"
+    with pytest.raises(RewriteBudgetError):
+        write_bnet(Adf(("a",), (Not(Var("a")),)), budget=0)
 
 
 def test_argument_order_is_declaration_order():
