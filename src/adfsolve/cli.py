@@ -59,10 +59,11 @@ def _read_model(path: str, input_format: str | None) -> fmt.Adf:
     """Parse a model file, or stdin for ``-``; the format defaults to the extension."""
     try:
         if path == "-":
-            text = sys.stdin.buffer.read().decode("utf-8")
+            raw = sys.stdin.buffer.read()
         else:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            with open(path, "rb") as handle:
+                raw = handle.read()
+        text = raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if input_format is None:

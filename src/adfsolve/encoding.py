@@ -15,6 +15,10 @@ two-valued, into the function over dual pairs that holds exactly when
 the original.  It is a single structural pass over the diagram: a
 decision on the top variable of argument ``i`` with branches ``(lo, hi)``
 becomes ``(top_i & T(hi)) | (bot_i & T(lo))``.
+
+The characteristic operator at a point is itself a dual valuation:
+argument ``i``'s pair ``(top_fn, bot_fn)`` evaluated there.  Only the
+encoder and the decoder spell the truth-value code.
 """
 
 from __future__ import annotations
@@ -137,9 +141,8 @@ class GammaPair(_Record):
     """Dual-variable functions deciding one argument of the operator.
 
     ``top_fn`` holds when the argument can still become true, ``bot_fn``
-    when it can still become false; together they encode the value the
-    characteristic operator assigns: (1,0) true, (0,1) false, (1,1)
-    unknown.
+    when it can still become false; evaluated at a point, they are the
+    dual pair of the value the characteristic operator assigns there.
     """
 
     __slots__ = __match_args__ = ("top_fn", "bot_fn")
@@ -216,8 +219,15 @@ def dual_transform(f: Bdd, layout: VarLayout) -> Bdd:
     return Bdd(man, rec(f.root))
 
 
+def _check_layout(adf: Adf, layout: VarLayout) -> None:
+    """Condition ``i`` is paired with argument ``i``'s variables, so the names must agree."""
+    if tuple(adf.arguments) != layout.names:
+        raise EncodingError("layout does not match the model's arguments")
+
+
 def gamma_pairs(adf: Adf, layout: VarLayout) -> list[GammaPair]:
     """Dual encodings of every acceptance condition and its negation."""
+    _check_layout(adf, layout)
     out = []
     for condition in adf.conditions:
         compiled = formula_to_bdd(condition, layout)
@@ -286,17 +296,12 @@ def encode_interpretation(interp: Interpretation, layout: VarLayout, kind: str) 
     return valuation
 
 
+def _gamma_step(pairs: list[GammaPair], valuation: list[bool]) -> list[bool]:
+    """The operator's dual valuation: each pair ``(top_fn, bot_fn)`` evaluated at ``valuation``."""
+    return [fn.evaluate(valuation) for pair in pairs for fn in (pair.top_fn, pair.bot_fn)]
+
+
 def apply_gamma(pairs: list[GammaPair], interp: Interpretation, layout: VarLayout) -> Interpretation:
-    """Point evaluation of the characteristic operator at one interpretation."""
-    valuation = encode_interpretation(interp, layout, "dual")
-    values = []
-    for pair in pairs:
-        can_true = pair.top_fn.evaluate(valuation)
-        can_false = pair.bot_fn.evaluate(valuation)
-        if can_true and can_false:
-            values.append("*")
-        elif can_true:
-            values.append("1")
-        else:
-            values.append("0")
-    return Interpretation(layout.names, tuple(values))
+    """The operator at one interpretation: each argument's ``(top_fn, bot_fn)`` evaluated there."""
+    step = _gamma_step(pairs, encode_interpretation(interp, layout, "dual"))
+    return decode(step, layout, "dual")

@@ -11,8 +11,9 @@ interpretations satisfying the semantics, never an explicit enumeration:
   ``(top <-> top_fn) & (bot <-> bot_fn)`` per argument.  As
   ``top_fn | bot_fn`` holds on every valid encoding, this is admissible
   plus ``(top & bot) -> (top_fn & bot_fn)``;
-* grounded: iterate the characteristic operator from the all-unknown
-  interpretation to its least fixed point;
+* grounded: iterate the characteristic operator on dual valuations,
+  from the all-ones one (every argument unknown) to its least fixed
+  point, decoded once at the end;
 * preferred: the members of the complete set minimal in their true dual
   variables, i.e. those no other complete interpretation refines;
 * stable: drop every two-valued model with a nonempty unfounded set of
@@ -35,7 +36,10 @@ from .encoding import (
     GammaPair,
     Interpretation,
     VarLayout,
-    apply_gamma,
+    _check_layout,
+    _gamma_step,
+    decode,
+    encode_interpretation,
     formula_to_bdd,
     gamma_pairs,
 )
@@ -73,6 +77,7 @@ class SolutionSet(_Record):
 
 def two_valued_models(adf: Adf, layout: VarLayout) -> SolutionSet:
     """All interpretations where every argument equals its condition."""
+    _check_layout(adf, layout)
     man = layout.manager
     clauses = [
         man.var(layout.top(i)).iff(formula_to_bdd(condition, layout))
@@ -106,36 +111,22 @@ def complete(adf: Adf, layout: VarLayout) -> SolutionSet:
 
 
 def grounded(adf: Adf, layout: VarLayout) -> Interpretation:
-    """Least fixed point of the operator, by pointwise iteration."""
+    """Least fixed point of the operator, iterated on dual valuations."""
     pairs = gamma_pairs(adf, layout)
-    current = Interpretation(layout.names, ("*",) * layout.n)
+    current = [True] * (2 * layout.n)  # every argument unknown
     for _ in range(layout.n + 1):
-        refined = apply_gamma(pairs, current, layout)
+        refined = _gamma_step(pairs, current)
         if refined == current:
-            return current
+            return decode(current, layout, "dual")
         current = refined
     raise RuntimeError("grounded iteration did not reach a fixed point")
 
 
-def interpretation_cube(interp: Interpretation, layout: VarLayout) -> Bdd:
-    """Dual-variable diagram accepting exactly one interpretation."""
-    man = layout.manager
-    clauses = []
-    for i, value in enumerate(interp.values):
-        top = man.var(layout.top(i))
-        bot = man.var(layout.bot(i))
-        if value == "1":
-            clauses.append(top & ~bot)
-        elif value == "0":
-            clauses.append(~top & bot)
-        else:
-            clauses.append(top & bot)
-    return man.conjoin(clauses)
-
-
 def grounded_set(adf: Adf, layout: VarLayout) -> SolutionSet:
     """The grounded interpretation as a singleton dual-variable set."""
-    cube = interpretation_cube(grounded(adf, layout), layout)
+    man = layout.manager
+    point = encode_interpretation(grounded(adf, layout), layout, "dual")
+    cube = man.conjoin(man.var(v) if bit else man.nvar(v) for v, bit in enumerate(point))
     return SolutionSet(cube, layout, "dual")
 
 

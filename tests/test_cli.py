@@ -335,6 +335,32 @@ def test_undecodable_stdin_exits_without_traceback():
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name, text, error",
+    [
+        # a statement file's lines end at \n only, so a lone \r is one column
+        ("lone_cr.adf", b"s(a).\rq(a).", "line 1, column 8: expected 's' or 'ac' statement"),
+        ("crlf.adf", b"s(a).\r\nac(a, and(a,,a)).\r\n", "line 2, column 13: expected a name"),
+        ("lone_cr.bnet", b"targets, factors\ra, a &\r", "line 2, column 7: expected a name"),
+        ("crlf.bnet", b"targets, factors\r\na, a\r\nb, a |\r\n", "line 3, column 7: expected"),
+    ],
+    ids=["adf-lone-cr", "adf-crlf", "bnet-lone-cr", "bnet-crlf"],
+)
+def test_file_and_stdin_report_the_same_position(capsys, monkeypatch, tmp_path, name, text, error):
+    import io
+
+    path = tmp_path / name
+    path.write_bytes(text)
+    from_file = run_cli(capsys, "solve", "--sem", "2v", str(path))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text)))
+    input_format = name.rsplit(".", 1)[1]
+    from_stdin = run_cli(capsys, "solve", "--sem", "2v", "--format", input_format, "-")
+    assert from_file == from_stdin
+    code, _, err = from_file
+    assert code == 1
+    assert err.startswith(f"error: {error}")
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("flags", [["--enumerate", "--limit", "200000"], ["--sample", "50000"]])
 def test_closed_pipe_exits_without_traceback(tmp_path, flags, unbuffered):

@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from adfsolve.encoding import VarLayout, encode_interpretation, gamma_pairs
+from adfsolve.encoding import EncodingError, VarLayout, encode_interpretation, gamma_pairs
 from adfsolve.bdd import BddManager
-from adfsolve.formula import Adf, And, Not, Var, parse_adf
+from adfsolve.formula import Adf, And, Const, Not, Var, parse_adf
 from adfsolve.oracle import brute_semantics
 from adfsolve.semantics import (
     SEMANTICS,
@@ -47,6 +47,15 @@ def alternating_chain(n):
     """``x0`` is a free input and every later argument negates its predecessor."""
     names = tuple(f"x{i}" for i in range(n))
     return Adf(names, (Var("x0"),) + tuple(Not(Var(names[i - 1])) for i in range(1, n)))
+
+
+def constant_headed_chain(n):
+    """``x0`` is true and every later argument negates its predecessor.
+
+    Grounding settles one argument per step, so it takes ``n`` steps.
+    """
+    names = tuple(f"x{i}" for i in range(n))
+    return Adf(names, (Const(True),) + tuple(Not(Var(names[i - 1])) for i in range(1, n)))
 
 
 def attack_with_tail(tail, self_attack):
@@ -334,7 +343,9 @@ def test_grid_inclusion_chain():
 
 
 @pytest.mark.parametrize(
-    "adf", [alternating_chain(1000), grid_adf(12, 8)], ids=["chain1000", "grid12x8"]
+    "adf",
+    [alternating_chain(1000), grid_adf(12, 8), constant_headed_chain(400)],
+    ids=["chain1000", "grid12x8", "constchain400"],
 )
 def test_reversed_declaration_order_keeps_answers(adf):
     # past the oracle cap: reversing the declaration order reverses the
@@ -351,6 +362,29 @@ def test_reversed_declaration_order_keeps_answers(adf):
             ]
             assert len(listed[0]) == total
             assert listed[0] == listed[1]
+
+
+def test_constant_headed_chain_grounds_to_its_two_valued_model():
+    # one argument settles per step, far past the oracle cap
+    adf = constant_headed_chain(400)
+    point = grounded(adf, VarLayout.for_adf(adf))
+    assert point.values == ("1", "0") * 200
+    assert list(enumerate_solutions(solve(adf, "2v"))) == [point]
+
+
+@pytest.mark.parametrize(
+    "reorder",
+    [lambda names: names[::-1], lambda names: names + ("c",)],
+    ids=["reversed", "superset"],
+)
+@pytest.mark.parametrize("sem", SEMANTICS)
+def test_layout_must_match_the_model(reorder, sem):
+    adf = parse_adf("s(a). s(b). ac(a,c(v)). ac(b,neg(a)).")
+    # names are compared as tuples, so a model built with a list still solves
+    listed = Adf(list(adf.arguments), adf.conditions)
+    assert count(solve(listed, sem, VarLayout(adf.arguments))) >= 1
+    with pytest.raises(EncodingError, match="layout does not match"):
+        solve(adf, sem, VarLayout(reorder(adf.arguments)))
 
 
 def test_two_valued_equals_two_valued_members_of_complete():
