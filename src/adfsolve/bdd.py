@@ -9,14 +9,15 @@ equal.
 
 The engine has three binary operators, conjunction, disjunction and
 exclusive or; negation is exclusive or with true, and implication and
-equivalence are derived from them.  One rebuild pass serves both
-existential quantification and the monotone upward closure of a set
-under bitwise inclusion over a given group of variables.  The minimal
-members of a set under that inclusion are built on the closure in one
-further pass, and model counting is one bottom-up pass.  Constructions
-over a level set are manager methods, queries on one diagram ``Bdd``
-methods.  A single memo, keyed by an opcode and operand ids, serves the
-three operators, the rebuild pass and ``encoding``'s dual transform.
+equivalence are derived from them.  One rebuild pass serves existential
+quantification, the monotone upward closure of a set under bitwise
+inclusion over a given group of variables, and the dual lift behind
+``encoding.dual_transform``.  The minimal members of a set under that
+inclusion are built on the closure in one further pass, and model
+counting is one depth-first walk.  Constructions over a level set are
+manager methods, queries on one diagram ``Bdd`` methods.  A single memo,
+keyed by an opcode and operand ids, serves the three operators and the
+rebuild pass; ``minimal`` keeps a per-call memo of its own.
 
 Memory is bounded at safe points, the steps of ``conjoin``'s fold.  The
 memo lives one fold step: it is emptied after each step, so it holds only
@@ -29,8 +30,7 @@ roots reach and frees the rest: the unique table is refilled with the
 marked nodes, freed ids go on a free list that later nodes reuse, and
 the memo is emptied, so no reused id answers through a stale entry.
 Nodes never move, so every handle stays valid.  Because ids are reused,
-a child's id may exceed its parent's; bottom-up passes order nodes by
-descending level instead.
+a child's id may exceed its parent's, so no pass relies on id order.
 
 A manager and every diagram it owns belong to a single thread; distinct
 managers are fully independent.
@@ -47,7 +47,7 @@ class BddError(Exception):
     """Invalid use of the diagram engine (mixed managers, bad supports)."""
 
 
-# opcodes for the memo; _DUAL belongs to encoding.dual_transform
+# opcodes for the memo; _EXISTS, _UP and _DUAL are the rebuild pass's rules
 _AND, _OR, _XOR, _EXISTS, _UP, _DUAL = range(6)
 
 # a collection's mark bytes -> 1 where a slot is free
@@ -221,9 +221,9 @@ class BddManager:
         return Bdd(self, self._rebuild(_EXISTS, f.root, levels, max(levels, default=-1)))
 
     def _rebuild(self, op: int, a: int, levels: frozenset[int], top: int) -> int:
-        # the pass behind _EXISTS and _UP: at a node on a variable in
-        # ``levels`` both join the rebuilt branches; _EXISTS returns the
-        # join, _UP keeps the low branch and takes the join as high branch
+        # at a node on a variable v in ``levels``, with rebuilt branches l
+        # and h: _EXISTS returns l | h, _UP takes l | h as high branch, and
+        # _DUAL maps the pair (v, v + 1) to (0,0) 0, (0,1) l, (1,0) h, (1,1) l | h
         if a < 2:
             return a
         v, lo, hi = self._nodes[a]
@@ -235,17 +235,20 @@ class BddManager:
             return cached
         l = self._rebuild(op, lo, levels, top)
         h = self._rebuild(op, hi, levels, top)
-        if v in levels:
-            h = self._apply(_OR, l, h)
-            result = h if op == _EXISTS else self._mk(v, l, h)
-        else:
+        if v not in levels:
             result = self._mk(v, l, h)
+        elif op == _EXISTS:
+            result = self._apply(_OR, l, h)
+        elif op == _UP:
+            result = self._mk(v, l, self._apply(_OR, l, h))
+        else:
+            result = self._mk(v, self._mk(v + 1, 0, l), self._mk(v + 1, h, self._apply(_OR, l, h)))
         self._cache[key] = result
         return result
 
     # -- counting and inspection -----------------------------------------
 
-    def _reachable(self, root: int) -> list[int]:
+    def _reachable(self, root: int) -> set[int]:
         seen = {root}
         stack = [root]
         nodes = self._nodes
@@ -260,10 +263,7 @@ class BddManager:
             if hi not in seen:
                 seen.add(hi)
                 stack.append(hi)
-        # a child sits on a deeper level than its parent, and the terminals
-        # on the deepest, so descending levels give a bottom-up evaluation
-        # order; ids do not, because a collected id is reused by later nodes
-        return sorted(seen, key=nodes.__getitem__, reverse=True)
+        return seen
 
     def model_counts(
         self, f: "Bdd", levels: Sequence[int]
@@ -274,26 +274,34 @@ class BddManager:
         from the root, ``ranks[u]`` is the position of its variable in
         ``levels`` (``len(levels)`` for the terminals) and ``counts[u]`` is
         the number of assignments to ``levels[ranks[u]:]`` that lead from
-        ``u`` to the true terminal.  One bottom-up pass; raises
-        :class:`BddError` if ``f`` depends on a variable outside ``levels``.
+        ``u`` to the true terminal.  One depth-first walk counts a node's
+        children before the node; raises :class:`BddError` if ``f`` depends
+        on a variable outside ``levels``.
         """
         self._claim(f)
         rank = {v: i for i, v in enumerate(levels)}
         m = len(levels)
         nodes = self._nodes
-        reachable = self._reachable(f.root)
-        for u in reachable:
-            if u > 1 and nodes[u][0] not in rank:
-                raise BddError(f"function depends on variable {nodes[u][0]} outside the counting set")
         counts: dict[int, int] = {0: 0, 1: 1}
         ranks: dict[int, int] = {0: m, 1: m}
-        for u in reachable:
-            if u < 2:
-                continue
+        # the stack holds the path from the root to the node in hand; it is
+        # explicit because Python 3.10 overflows the C stack when a recursion
+        # is as deep as a 10,000-argument chain
+        stack = [f.root] if f.root > 1 else []
+        while stack:
+            u = stack[-1]
             v, lo, hi = nodes[u]
-            r = rank[v]
-            counts[u] = (counts[lo] << (ranks[lo] - r - 1)) + (counts[hi] << (ranks[hi] - r - 1))
-            ranks[u] = r
+            if lo not in counts:
+                stack.append(lo)
+            elif hi not in counts:
+                stack.append(hi)
+            else:
+                r = rank.get(v)
+                if r is None:
+                    raise BddError(f"function depends on variable {v} outside the counting set")
+                counts[u] = (counts[lo] << (ranks[lo] - r - 1)) + (counts[hi] << (ranks[hi] - r - 1))
+                ranks[u] = r
+                stack.pop()
         return counts, ranks
 
     def validate(self) -> None:

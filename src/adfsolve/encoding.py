@@ -12,7 +12,7 @@ per-argument constraint local in the variable order.
 The dual transform turns a function over the top variables, read as
 two-valued, into the function over dual pairs that holds exactly when
 *some* two-valued refinement of the three-valued assignment satisfies
-the original.  It is a single structural pass over the diagram: a
+the original.  It is the engine's rebuild pass over the top levels: a
 decision on the top variable of argument ``i`` with branches ``(lo, hi)``
 becomes ``(top_i & T(hi)) | (bot_i & T(lo))``.
 
@@ -23,7 +23,7 @@ encoder and the decoder spell the truth-value code.
 
 from __future__ import annotations
 
-from .bdd import _DUAL, _OR, Bdd, BddManager
+from .bdd import _DUAL, Bdd, BddManager
 from .formula import Adf, And, Const, Formula, Iff, Imp, Not, Or, Var, _Record, _set
 
 
@@ -182,41 +182,20 @@ def dual_transform(f: Bdd, layout: VarLayout) -> Bdd:
     """Rewrite a two-valued function over the top variables into dual form.
 
     A node on top variable ``v`` becomes decisions on ``(v, v + 1)``; a
-    node on a bot variable is rejected.  On valid encodings the result
-    holds exactly when some two-valued refinement of the assignment
-    satisfies ``f``; behaviour on invalid ``(0,0)`` pairs is unconstrained,
-    so consumers conjoin the validity constraint.  Linear in the diagram
-    size; results are kept in the manager's memo until the next fold step
-    or collection.
+    function that depends on a bot variable is rejected.  On valid
+    encodings the result holds exactly when some two-valued refinement of
+    the assignment satisfies ``f``; behaviour on invalid ``(0,0)`` pairs is
+    unconstrained, so consumers conjoin the validity constraint.  The
+    transform is the engine's rebuild pass over the top levels, linear in
+    the diagram size; results are kept in the manager's memo until the
+    next fold step or collection.
     """
     man = layout.manager
     if f.manager is not man:
         raise EncodingError("function belongs to a different manager")
-    cache = man._cache
-    nodes = man._nodes
-
-    def rec(u: int) -> int:
-        if u < 2:
-            return u
-        key = (_DUAL, u)
-        found = cache.get(key)
-        if found is not None:
-            return found
-        level, lo, hi = nodes[u]
-        if level % 2:
-            raise EncodingError("function depends on a bot variable")
-        can_true = rec(hi)
-        can_false = rec(lo)
-        either = man._apply(_OR, can_true, can_false)
-        result = man._mk(
-            level,
-            man._mk(level + 1, 0, can_false),
-            man._mk(level + 1, can_true, either),
-        )
-        cache[key] = result
-        return result
-
-    return Bdd(man, rec(f.root))
+    if any(v % 2 for v in f.support()):
+        raise EncodingError("function depends on a bot variable")
+    return Bdd(man, man._rebuild(_DUAL, f.root, frozenset(layout.direct_vars), 2 * layout.n - 2))
 
 
 def _check_layout(adf: Adf, layout: VarLayout) -> None:
@@ -228,13 +207,17 @@ def _check_layout(adf: Adf, layout: VarLayout) -> None:
 def gamma_pairs(adf: Adf, layout: VarLayout) -> list[GammaPair]:
     """Dual encodings of every acceptance condition and its negation."""
     _check_layout(adf, layout)
+    man = layout.manager
+    # compiled conditions read only top variables; one level set keys every pass
+    tops = frozenset(layout.direct_vars)
+    deepest = 2 * layout.n - 2
     out = []
     for condition in adf.conditions:
         compiled = formula_to_bdd(condition, layout)
         out.append(
             GammaPair(
-                top_fn=dual_transform(compiled, layout),
-                bot_fn=dual_transform(~compiled, layout),
+                top_fn=Bdd(man, man._rebuild(_DUAL, compiled.root, tops, deepest)),
+                bot_fn=Bdd(man, man._rebuild(_DUAL, (~compiled).root, tops, deepest)),
             )
         )
     return out

@@ -410,8 +410,8 @@ def _parse_bnet_atom(scanner: _Scanner) -> Formula:
 def parse_bnet(text: str) -> Adf:
     """Parse the network table format into a model.
 
-    Names that only occur on right-hand sides become free inputs, in
-    order of first appearance after the declared targets.
+    Names that only occur on right-hand sides become free inputs after the
+    declared targets: line by line, each line's new names in sorted order.
     """
     targets: list[str] = []
     conditions: dict[str, Formula] = {}

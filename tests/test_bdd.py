@@ -5,6 +5,7 @@ the same tree directly over every valuation, so the expected tables are
 independent of the diagram code they check.
 """
 
+import copy
 import operator
 import random
 
@@ -477,3 +478,33 @@ def test_conjoin_keeps_the_pending_clauses_of_a_generator():
         expected = [all(v[i] == v[i + n] for i in range(n)) for v in valuations(2 * n)]
         assert table_of_bdd(result, 2 * n) == expected
         assert result.sat_count(range(2 * n)) == 2**n
+
+
+def test_a_copied_handle_counts_itself():
+    # a copy that skipped the count would let the collector free the root
+    # it still holds, and its __del__ would then find no count to drop
+    man = BddManager(3)
+    f = man.var(0) & ~man.var(2)
+    root, table = f.root, table_of_bdd(f, 3)
+    g = copy.copy(f)
+    assert g == f
+    assert man._refs[root] == 2
+    del f
+    man._collect()
+    assert root not in man._free
+    man.validate()
+    assert table_of_bdd(g, 3) == table
+    del g
+    assert root not in man._refs
+
+
+def test_counting_a_diagram_as_deep_as_its_variable_order():
+    # x_i | x_(i+1) for every i: no two adjacent zeros, so a Fibonacci
+    # number of models; the count must not recurse once per level
+    n = 30000
+    man = BddManager(n)
+    f = man.conjoin(man.var(i) | man.var(i + 1) for i in range(n - 1))
+    a, b = 2, 3  # models over 1 and 2 variables
+    for _ in range(n - 2):
+        a, b = b, a + b
+    assert f.sat_count(range(n)) == b

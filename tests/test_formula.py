@@ -168,6 +168,12 @@ def test_parse_bnet_free_input():
     assert adf.free_inputs() == ("x",)
 
 
+def test_parse_bnet_free_inputs_follow_the_targets_line_by_line():
+    # each line's new names are sorted, so w and x come after y and z
+    adf = parse_bnet("targets, factors\na, z & y\nb, x | w\n")
+    assert adf.arguments == ("a", "b", "y", "z", "w", "x")
+
+
 def test_parse_bnet_precedence_and_parens():
     adf = parse_bnet("targets, factors\na, b | c & !a\nb, (b)\nc, 0\n")
     assert adf.condition("a") == Or(Var("b"), And(Var("c"), Not(Var("a"))))

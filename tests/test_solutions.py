@@ -7,10 +7,12 @@ from collections import Counter
 
 import pytest
 
+from adfsolve.bdd import BddError
 from adfsolve.cli import main
 from adfsolve.formula import Adf, Var, parse_adf, write_adf
 from adfsolve.oracle import brute_semantics
-from adfsolve.semantics import SEMANTICS, solve
+from adfsolve.encoding import VarLayout
+from adfsolve.semantics import SEMANTICS, SolutionSet, solve
 from adfsolve.solutions import count, enumerate_solutions, sample_uniform
 from conftest import EXAMPLE_ADF, disjoint_union, random_adf, random_adf_with_free_inputs
 
@@ -65,6 +67,23 @@ def test_enumeration_limit_and_empty():
     assert list(enumerate_solutions(tv)) == []
     with pytest.raises(ValueError):
         list(enumerate_solutions(ss, limit=0))
+
+
+def test_a_set_over_variables_outside_its_kind_is_rejected():
+    # a direct set ranges over the top variables; read only there, this
+    # one would list the four two-valued assignments
+    layout = VarLayout(("a", "b"))
+    man = layout.manager
+    ss = SolutionSet(man.var(layout.bot(0)) & man.var(layout.top(1)), layout, "direct")
+    listed = []
+    with pytest.raises(BddError):
+        for interp in enumerate_solutions(ss):
+            listed.append(interp)
+    assert listed == []
+    with pytest.raises(BddError):
+        count(ss)
+    with pytest.raises(BddError):
+        sample_uniform(ss, 3, seed=1)
 
 
 def test_enumerated_solutions_satisfy_the_oracle():
