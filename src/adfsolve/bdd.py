@@ -14,7 +14,8 @@ quantification, the monotone upward closure of a set under bitwise
 inclusion over a given group of variables, and the dual lift behind
 ``encoding.dual_transform``.  The minimal members of a set under that
 inclusion are built on the closure in one further pass, and model
-counting is one depth-first walk.  Constructions over a level set are
+counting is one depth-first walk into a table that the readers of a
+solution set share.  Constructions over a level set are
 manager methods, queries on one diagram ``Bdd`` methods.  A single memo,
 keyed by an opcode and operand ids, serves the three operators and the
 rebuild pass; ``minimal`` keeps a per-call memo of its own.
@@ -267,23 +268,24 @@ class BddManager:
 
     def model_counts(
         self, f: "Bdd", levels: Sequence[int]
-    ) -> tuple[dict[int, int], dict[int, int]]:
-        """Exact model counts below every node of ``f`` over sorted ``levels``.
+    ) -> dict[int, tuple[int, int, int, int, int]]:
+        """One table of exact model counts over sorted ``levels``.
 
-        Returns ``counts`` and ``ranks``.  For each node ``u`` reachable
-        from the root, ``ranks[u]`` is the position of its variable in
-        ``levels`` (``len(levels)`` for the terminals) and ``counts[u]`` is
-        the number of assignments to ``levels[ranks[u]:]`` that lead from
-        ``u`` to the true terminal.  One depth-first walk counts a node's
-        children before the node; raises :class:`BddError` if ``f`` depends
-        on a variable outside ``levels``.
+        Maps every node ``u`` reachable from the root, and both terminals,
+        to ``(rank, lo, hi, weight_lo, total)``: ``rank`` is the position of
+        its variable in ``levels`` (``len(levels)`` for the terminals),
+        ``total`` the number of assignments to ``levels[rank:]`` that lead
+        from ``u`` to the true terminal and ``weight_lo`` the share of them
+        through the false branch.  Counting, enumeration and sampling all
+        read this table, level by level.  One depth-first walk fills in a
+        node's children before the node; raises :class:`BddError` if ``f``
+        depends on a variable outside ``levels``.
         """
         self._claim(f)
         rank = {v: i for i, v in enumerate(levels)}
         m = len(levels)
         nodes = self._nodes
-        counts: dict[int, int] = {0: 0, 1: 1}
-        ranks: dict[int, int] = {0: m, 1: m}
+        table = {0: (m, 0, 0, 0, 0), 1: (m, 1, 1, 0, 1)}
         # the stack holds the path from the root to the node in hand; it is
         # explicit because Python 3.10 overflows the C stack when a recursion
         # is as deep as a 10,000-argument chain
@@ -291,18 +293,20 @@ class BddManager:
         while stack:
             u = stack[-1]
             v, lo, hi = nodes[u]
-            if lo not in counts:
+            if lo not in table:
                 stack.append(lo)
-            elif hi not in counts:
+            elif hi not in table:
                 stack.append(hi)
             else:
                 r = rank.get(v)
                 if r is None:
                     raise BddError(f"function depends on variable {v} outside the counting set")
-                counts[u] = (counts[lo] << (ranks[lo] - r - 1)) + (counts[hi] << (ranks[hi] - r - 1))
-                ranks[u] = r
+                rank_lo, _, _, _, total_lo = table[lo]
+                rank_hi, _, _, _, total_hi = table[hi]
+                weight_lo = total_lo << (rank_lo - r - 1)
+                table[u] = (r, lo, hi, weight_lo, weight_lo + (total_hi << (rank_hi - r - 1)))
                 stack.pop()
-        return counts, ranks
+        return table
 
     def validate(self) -> None:
         """Check store invariants.
@@ -517,8 +521,8 @@ class Bdd:
         beyond 64 bits.  The function must not depend on variables outside
         ``over``.
         """
-        counts, ranks = self.manager.model_counts(self, sorted(set(over)))
-        return counts[self.root] << ranks[self.root]
+        rank, _, _, _, total = self.manager.model_counts(self, sorted(set(over)))[self.root]
+        return total << rank
 
     def support(self) -> set[int]:
         """Set of variable levels the function depends on."""

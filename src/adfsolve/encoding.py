@@ -279,12 +279,8 @@ def encode_interpretation(interp: Interpretation, layout: VarLayout, kind: str) 
     return valuation
 
 
-def _gamma_step(pairs: list[GammaPair], valuation: list[bool]) -> list[bool]:
-    """The operator's dual valuation: each pair ``(top_fn, bot_fn)`` evaluated at ``valuation``."""
-    return [fn.evaluate(valuation) for pair in pairs for fn in (pair.top_fn, pair.bot_fn)]
-
-
 def apply_gamma(pairs: list[GammaPair], interp: Interpretation, layout: VarLayout) -> Interpretation:
     """The operator at one interpretation: each argument's ``(top_fn, bot_fn)`` evaluated there."""
-    step = _gamma_step(pairs, encode_interpretation(interp, layout, "dual"))
+    point = encode_interpretation(interp, layout, "dual")
+    step = [fn.evaluate(point) for pair in pairs for fn in (pair.top_fn, pair.bot_fn)]
     return decode(step, layout, "dual")

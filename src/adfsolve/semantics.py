@@ -11,9 +11,10 @@ interpretations satisfying the semantics, never an explicit enumeration:
   ``(top <-> top_fn) & (bot <-> bot_fn)`` per argument.  As
   ``top_fn | bot_fn`` holds on every valid encoding, this is admissible
   plus ``(top & bot) -> (top_fn & bot_fn)``;
-* grounded: iterate the characteristic operator on dual valuations,
-  from the all-ones one (every argument unknown) to its least fixed
-  point, decoded once at the end;
+* grounded: update the characteristic operator's dual valuation one
+  argument at a time, from the all-ones one (every argument unknown) to
+  its least fixed point, re-evaluating an argument only when one it
+  reads has changed, and decode once at the end;
 * preferred: the members of the complete set minimal in their true dual
   variables, i.e. those no other complete interpretation refines;
 * stable: drop every two-valued model with a nonempty unfounded set of
@@ -29,6 +30,7 @@ so ``iterations`` reads 1 for both.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable
 
 from .bdd import Bdd
@@ -37,7 +39,6 @@ from .encoding import (
     Interpretation,
     VarLayout,
     _check_layout,
-    _gamma_step,
     decode,
     encode_interpretation,
     formula_to_bdd,
@@ -111,15 +112,36 @@ def complete(adf: Adf, layout: VarLayout) -> SolutionSet:
 
 
 def grounded(adf: Adf, layout: VarLayout) -> Interpretation:
-    """Least fixed point of the operator, iterated on dual valuations."""
+    """Least fixed point of the operator, reached by a worklist on dual valuations.
+
+    Starting from every argument unknown, argument ``i``'s pair is
+    evaluated again only when an argument its compiled pair reads has
+    changed.  The operator is monotone, so each argument changes at most
+    once and these updates reach the same least fixed point as iterating
+    the whole operator, at a cost linear in the pairs and their supports.
+    """
     pairs = gamma_pairs(adf, layout)
+    # readers[j]: the arguments whose pair reads argument j's levels 2j, 2j + 1
+    readers: list[list[int]] = [[] for _ in range(layout.n)]
+    for i, pair in enumerate(pairs):
+        for j in sorted({v // 2 for v in pair.top_fn.support() | pair.bot_fn.support()}):
+            readers[j].append(i)
     current = [True] * (2 * layout.n)  # every argument unknown
-    for _ in range(layout.n + 1):
-        refined = _gamma_step(pairs, current)
-        if refined == current:
-            return decode(current, layout, "dual")
-        current = refined
-    raise RuntimeError("grounded iteration did not reach a fixed point")
+    pending = deque(range(layout.n))
+    queued = [True] * layout.n
+    while pending:
+        i = pending.popleft()
+        queued[i] = False
+        top, bot = layout.top(i), layout.bot(i)
+        pair = pairs[i]
+        step = pair.top_fn.evaluate(current), pair.bot_fn.evaluate(current)
+        if step != (current[top], current[bot]):
+            current[top], current[bot] = step
+            for k in readers[i]:
+                if not queued[k]:
+                    queued[k] = True
+                    pending.append(k)
+    return decode(current, layout, "dual")
 
 
 def grounded_set(adf: Adf, layout: VarLayout) -> SolutionSet:

@@ -8,9 +8,12 @@ independent of the diagram code they check.
 import copy
 import operator
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+import adfsolve
 from adfsolve.bdd import _AND, _EXISTS, Bdd, BddError, BddManager
 
 
@@ -508,3 +511,14 @@ def test_counting_a_diagram_as_deep_as_its_variable_order():
     for _ in range(n - 2):
         a, b = b, a + b
     assert f.sat_count(range(n)) == b
+
+
+def test_only_the_engine_reads_its_node_store():
+    # every other module goes through manager methods and Bdd handles
+    package = Path(adfsolve.__file__).parent
+    readers = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "bdd.py" and re.search(r"\._nodes|\._cache", path.read_text())
+    ]
+    assert readers == []

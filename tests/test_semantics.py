@@ -6,7 +6,7 @@ import time
 import pytest
 
 from adfsolve.encoding import EncodingError, VarLayout, encode_interpretation, gamma_pairs
-from adfsolve.bdd import BddManager
+from adfsolve.bdd import Bdd, BddManager
 from adfsolve.formula import Adf, And, Const, Not, Var, parse_adf
 from adfsolve.oracle import brute_semantics
 from adfsolve.semantics import (
@@ -370,6 +370,29 @@ def test_constant_headed_chain_grounds_to_its_two_valued_model():
     point = grounded(adf, VarLayout.for_adf(adf))
     assert point.values == ("1", "0") * 200
     assert list(enumerate_solutions(solve(adf, "2v"))) == [point]
+
+
+def test_grounding_work_is_linear_on_the_constant_headed_chain(monkeypatch):
+    # an argument is evaluated again only when one it reads has changed, so
+    # a chain that settles one argument per step costs linear, not
+    # quadratic, evaluations
+    calls = 0
+    evaluate = Bdd.evaluate
+
+    def counted(self, valuation):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, valuation)
+
+    monkeypatch.setattr(Bdd, "evaluate", counted)
+    spent = {}
+    for n in (1000, 4000):
+        adf = constant_headed_chain(n)
+        calls = 0
+        point = grounded(adf, VarLayout.for_adf(adf))
+        spent[n] = calls
+        assert point.values == ("1", "0") * (n // 2)
+    assert spent[4000] <= 4.5 * spent[1000], spent
 
 
 @pytest.mark.parametrize(

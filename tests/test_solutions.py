@@ -11,7 +11,7 @@ from adfsolve.bdd import BddError
 from adfsolve.cli import main
 from adfsolve.formula import Adf, Var, parse_adf, write_adf
 from adfsolve.oracle import brute_semantics
-from adfsolve.encoding import VarLayout
+from adfsolve.encoding import VarLayout, decode
 from adfsolve.semantics import SEMANTICS, SolutionSet, solve
 from adfsolve.solutions import count, enumerate_solutions, sample_uniform
 from conftest import EXAMPLE_ADF, disjoint_union, random_adf, random_adf_with_free_inputs
@@ -125,17 +125,61 @@ def golden_models():
 
 def skipped_levels(ss):
     """Levels skipped above the root, and on edges between decision nodes."""
-    levels = sorted(ss.variables())
-    man = ss.layout.manager
-    _, ranks = man.model_counts(ss.bdd, levels)
+    table = ss.layout.manager.model_counts(ss.bdd, ss.variables())
     between = sum(
-        ranks[child] - ranks[u] - 1
-        for u in ranks
+        table[child][0] - rank - 1
+        for u, (rank, lo, hi, _, _) in table.items()
         if u > 1
-        for child in man._nodes[u][1:]
+        for child in (lo, hi)
         if child > 1
     )
-    return ranks[ss.bdd.root], between
+    return table[ss.bdd.root][0], between
+
+
+def reference_samples(ss, n, seed):
+    """The draw contract, walked level by level on the count table: from one
+    ``random.Random(seed)``, one ``getrandbits(1)`` per skipped level and one
+    ``randrange(total)`` per node, choosing false below ``weight_lo``."""
+    levels = ss.variables()
+    table = ss.layout.manager.model_counts(ss.bdd, levels)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        valuation = [0] * ss.layout.manager.num_vars
+        u = ss.bdd.root
+        for idx, level in enumerate(levels):
+            rank, lo, hi, weight_lo, total = table[u]
+            if rank != idx:
+                valuation[level] = rng.getrandbits(1)
+            elif rng.randrange(total) < weight_lo:
+                u = lo
+            else:
+                valuation[level] = 1
+                u = hi
+        out.append(decode(valuation, ss.layout, ss.kind).values)
+    return out
+
+
+def test_sampling_follows_the_draw_contract():
+    rng = random.Random(223)
+    kinds = Counter()
+    skipping = Counter()
+    while sum(kinds.values()) < 200:
+        index = sum(kinds.values())
+        make = random_adf_with_free_inputs if index % 4 < 2 else random_adf
+        adf = make(rng, rng.randint(2, 7))
+        ss = solve(adf, rng.choice(("2v", "stb") if index % 2 else ("adm", "com", "prf")))
+        if ss.bdd.is_false:
+            continue
+        seed = rng.randrange(2**32)
+        drawn = [d.values for d in sample_uniform(ss, 20, seed)]
+        assert drawn == reference_samples(ss, 20, seed), (index, ss.kind, seed)
+        kinds[ss.kind] += 1
+        above_root, between_nodes = skipped_levels(ss)
+        skipping["above root"] += above_root > 0
+        skipping["between nodes"] += between_nodes > 0
+    assert kinds["direct"] == kinds["dual"] == 100
+    assert skipping["above root"] >= 5 and skipping["between nodes"] >= 40, skipping
 
 
 ELAPSED = re.compile(r'"elapsed_ms": [0-9.e+-]+')
