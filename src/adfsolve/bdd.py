@@ -25,8 +25,8 @@ memo lives one fold step: it is emptied after each step, so it holds only
 the work of the conjunction in progress.  A node lives while a ``Bdd``
 handle, the fold's accumulator or a clause still waiting in the fold
 reaches it.  Each handle counts itself in the manager while it exists.
-Once the live store has doubled since the last collection (or, before
-the first, since the first fold step), a fold step marks what those
+Once the live store has doubled since the last collection (a new
+manager counts as collected at size 0), a fold step marks what those
 roots reach and frees the rest: the unique table is refilled with the
 marked nodes, freed ids go on a free list that later nodes reuse, and
 the memo is emptied, so no reused id answers through a stale entry.
@@ -74,9 +74,9 @@ class BddManager:
         self._free: list[int] = []
         # root -> number of live Bdd handles on it
         self._refs: dict[int, int] = {}
-        # a fold step collects once the live store exceeds this size; the
-        # first fold step sets it
-        self._collect_at: int | None = None
+        # a fold step collects once the live store exceeds this size, twice
+        # what the last collection kept; 0 makes the first step collect
+        self._collect_at = 0
         # recursion depth tracks the variable order, never the node count
         limit = 4 * num_vars + 2000
         if sys.getrecursionlimit() < limit:
@@ -425,9 +425,7 @@ class BddManager:
             self._cache.clear()
             if acc == 0:
                 break
-            if self._collect_at is None:
-                self._collect_at = 2 * len(self._unique)
-            elif len(self._unique) > self._collect_at:
+            if len(self._unique) > self._collect_at:
                 self._collect([acc, *roots[i + 1 :]])
         return Bdd(self, acc)
 

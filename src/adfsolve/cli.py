@@ -26,9 +26,9 @@ first.  The chunks stay well below a pipe's capacity: an unbuffered
 write that a closing reader cuts short is not an error, so one write of
 the whole listing could lose the closed-pipe exit code.
 
-``--time`` reports the time from the start of solving until the count
-and the solutions are ready; a streamed listing is ready once it has
-been written, so its time includes the writes.
+``--time`` reports the time from the start of solving until what the
+query prints is ready (a set is counted only if its count is printed);
+a streamed listing is ready once written, so its time includes writes.
 """
 
 from __future__ import annotations
@@ -107,7 +107,8 @@ def _solve(args: argparse.Namespace) -> None:
 
     started = time.perf_counter()
     solset = semantics.solve(adf, args.sem)
-    total = solutions.count(solset)
+    counted = args.json or not (args.enumerate or args.sample is not None)
+    total = solutions.count(solset) if counted else None
     listed = None
     if args.enumerate:
         found = solutions.enumerate_solutions(solset, args.limit)
@@ -135,7 +136,7 @@ def _solve(args: argparse.Namespace) -> None:
         print(json.dumps(payload))
     elif listed is not None:
         _write_lines([interp.format_line() for interp in listed])
-    elif not args.enumerate:
+    elif total is not None:
         print(total)
 
     if args.time:

@@ -111,6 +111,7 @@ class VarLayout:
         if len(self._index) != self.n:
             raise EncodingError("duplicate argument names")
         self._line = _line_template(self.names)  # read by decode
+        self._tops = frozenset(self.direct_vars)  # built once; every dual_transform memo key holds it
 
     @classmethod
     def for_adf(cls, adf: Adf) -> "VarLayout":
@@ -193,9 +194,9 @@ def dual_transform(f: Bdd, layout: VarLayout) -> Bdd:
     man = layout.manager
     if f.manager is not man:
         raise EncodingError("function belongs to a different manager")
-    if any(v % 2 for v in f.support()):
+    if not layout._tops.issuperset(f.support()):
         raise EncodingError("function depends on a bot variable")
-    return Bdd(man, man._rebuild(_DUAL, f.root, frozenset(layout.direct_vars), 2 * layout.n - 2))
+    return Bdd(man, man._rebuild(_DUAL, f.root, layout._tops, 2 * layout.n - 2))
 
 
 def _check_layout(adf: Adf, layout: VarLayout) -> None:
@@ -205,21 +206,12 @@ def _check_layout(adf: Adf, layout: VarLayout) -> None:
 
 
 def gamma_pairs(adf: Adf, layout: VarLayout) -> list[GammaPair]:
-    """Dual encodings of every acceptance condition and its negation."""
+    """Every acceptance condition and its negation, each lifted by ``dual_transform``."""
     _check_layout(adf, layout)
-    man = layout.manager
-    # compiled conditions read only top variables; one level set keys every pass
-    tops = frozenset(layout.direct_vars)
-    deepest = 2 * layout.n - 2
     out = []
     for condition in adf.conditions:
         compiled = formula_to_bdd(condition, layout)
-        out.append(
-            GammaPair(
-                top_fn=Bdd(man, man._rebuild(_DUAL, compiled.root, tops, deepest)),
-                bot_fn=Bdd(man, man._rebuild(_DUAL, (~compiled).root, tops, deepest)),
-            )
-        )
+        out.append(GammaPair(dual_transform(compiled, layout), dual_transform(~compiled, layout)))
     return out
 
 

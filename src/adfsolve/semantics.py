@@ -13,8 +13,8 @@ interpretations satisfying the semantics, never an explicit enumeration:
   plus ``(top & bot) -> (top_fn & bot_fn)``;
 * grounded: update the characteristic operator's dual valuation one
   argument at a time, from the all-ones one (every argument unknown) to
-  its least fixed point, re-evaluating an argument only when one it
-  reads has changed, and decode once at the end;
+  its least fixed point, re-evaluating an argument only when one its
+  condition names has changed, and decode once at the end;
 * preferred: the members of the complete set minimal in their true dual
   variables, i.e. those no other complete interpretation refines;
 * stable: drop every two-valued model with a nonempty unfounded set of
@@ -44,7 +44,7 @@ from .encoding import (
     formula_to_bdd,
     gamma_pairs,
 )
-from .formula import Adf, _Record
+from .formula import Adf, _Record, variables
 
 SEMANTICS = ("adm", "com", "grd", "prf", "2v", "stb")
 
@@ -74,6 +74,10 @@ class SolutionSet(_Record):
         if self.kind == "direct":
             return self.layout.direct_vars
         return self.layout.dual_vars
+
+    def _require(self, kind: str) -> None:
+        if self.kind != kind:
+            raise ValueError(f"expected a {kind} set, got a {self.kind} one")
 
 
 def two_valued_models(adf: Adf, layout: VarLayout) -> SolutionSet:
@@ -115,18 +119,18 @@ def grounded(adf: Adf, layout: VarLayout) -> Interpretation:
     """Least fixed point of the operator, reached by a worklist on dual valuations.
 
     Starting from every argument unknown, argument ``i``'s pair is
-    evaluated again only when an argument its compiled pair reads has
+    evaluated again only when an argument its condition names has
     changed.  The operator is monotone, so each argument changes at most
     once and these updates reach the same least fixed point as iterating
-    the whole operator, at a cost linear in the pairs and their supports.
+    the whole operator, at a cost linear in the size of the conditions.
     """
     pairs = gamma_pairs(adf, layout)
-    # readers[j]: the arguments whose pair reads argument j's levels 2j, 2j + 1
+    # readers[j]: the arguments whose condition names argument j
     readers: list[list[int]] = [[] for _ in range(layout.n)]
-    for i, pair in enumerate(pairs):
-        for j in sorted({v // 2 for v in pair.top_fn.support() | pair.bot_fn.support()}):
-            readers[j].append(i)
-    current = [True] * (2 * layout.n)  # every argument unknown
+    for i, condition in enumerate(adf.conditions):
+        for name in variables(condition):
+            readers[layout.index(name)].append(i)
+    current = [True] * layout.manager.num_vars  # every argument unknown
     pending = deque(range(layout.n))
     queued = [True] * layout.n
     while pending:
@@ -153,7 +157,8 @@ def grounded_set(adf: Adf, layout: VarLayout) -> SolutionSet:
 
 
 def preferred(complete_set: SolutionSet, layout: VarLayout) -> SolutionSet:
-    """Maximally refined members of the complete set: refining clears dual bits."""
+    """Maximally refined members of the dual complete set: refining clears dual bits."""
+    complete_set._require("dual")
     found = layout.manager.minimal(complete_set.bdd, layout.dual_vars)
     return SolutionSet(found, layout, "dual", iterations=1)
 
@@ -182,9 +187,12 @@ def stable(
 
     "Not forced true" is the dual's ``bot_fn`` alone.  The exact clause
     is ``~top_fn | bot_fn``, but every valid dual point has a completion,
-    so ``top_fn | bot_fn`` holds there; the validity clauses sit in the
-    same fold, so the two clauses agree wherever the conjunction can hold.
+    so ``top_fn | bot_fn`` holds there and the two clauses agree.  The
+    validity clauses are the fold's care set, keeping each fold step in
+    the valid pairs; the answer does not depend on them, as the lift is
+    monotone: setting the bot of an invalid pair turns no ``bot_fn`` false.
     """
+    two_valued_set._require("direct")
     man = layout.manager
     tv = two_valued_set.bdd
 
@@ -208,19 +216,19 @@ def restrict_free_inputs(solset: SolutionSet, adf: Adf, mode: str) -> SolutionSe
     A free input (condition equal to the argument itself) is never
     unknown in a preferred interpretation and never true in a stable
     model, so the search sets can be narrowed up front without changing
-    the answers.
+    the answers.  The preferred mode reads a dual set, stable a direct one.
     """
+    if mode not in ("preferred", "stable"):
+        raise ValueError(f"unknown restriction mode {mode!r}")
+    solset._require("dual" if mode == "preferred" else "direct")
     layout = solset.layout
     man = layout.manager
     free = [layout.index(name) for name in adf.free_inputs()]
     if mode == "preferred":
         clauses = [man.nvar(layout.top(i)) | man.nvar(layout.bot(i)) for i in free]
-    elif mode == "stable":
-        clauses = [man.nvar(layout.top(i)) for i in free]
     else:
-        raise ValueError(f"unknown restriction mode {mode!r}")
-    bdd = man.conjoin([solset.bdd] + clauses)
-    return SolutionSet(bdd, layout, solset.kind, solset.iterations)
+        clauses = [man.nvar(layout.top(i)) for i in free]
+    return SolutionSet(man.conjoin([solset.bdd, *clauses]), layout, solset.kind, solset.iterations)
 
 
 def embed_two_valued(solset: SolutionSet, layout: VarLayout) -> SolutionSet:

@@ -467,6 +467,52 @@ def test_validate_rejects_a_stale_memo_entry():
     man.validate()
 
 
+def _append_node(level, lo, hi):
+    return lambda man, f: man._nodes.append((level, lo, hi))
+
+
+def _free(man, u, times=1):
+    del man._unique[man._nodes[u]]
+    man._free.extend([u] * times)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda man, f: man._free.append(1), "free list repeats an id or holds a terminal"),
+        (lambda man, f: _free(man, 2, times=2), "free list repeats an id or holds a terminal"),
+        (_append_node(2, 3, 3), "has equal children"),
+        (_append_node(4, 0, 1), "has invalid level 4"),
+        (lambda man, f: man._free.append(man._nodes[f.root][2]), "has a freed child"),
+        (_append_node(1, 0, 2), "breaks the variable order"),
+        (lambda man, f: man._unique.pop(man._nodes[f.root]), "missing from the unique table"),
+        (lambda man, f: man._unique.update({(3, 0, 1): 99}), "holds ids outside the store"),
+        (lambda man, f: _free(man, f.root), "live handle points to freed node"),
+    ],
+    ids=[
+        "terminal-on-free-list",
+        "repeated-free-id",
+        "equal-children",
+        "level-out-of-range",
+        "freed-child",
+        "order-violation",
+        "missing-from-unique",
+        "unique-outside-store",
+        "handle-on-freed-id",
+    ],
+)
+def test_validate_rejects_a_corrupt_store(corrupt, message):
+    # store: 2 = (0, 0, 1), which no handle reaches, 3 = (1, 0, 1) and
+    # the root 4 = (0, 0, 3)
+    man = BddManager(4)
+    f = man.var(0) & man.var(1)
+    assert man._nodes[2:] == [(0, 0, 1), (1, 0, 1), (0, 0, 3)]
+    man.validate()
+    corrupt(man, f)
+    with pytest.raises(BddError, match=message):
+        man.validate()
+
+
 def test_conjoin_keeps_the_pending_clauses_of_a_generator():
     # the handles die as the generator is consumed, so only the fold's own
     # roots keep the clauses still to be folded; x_i <-> x_(i+n) over the

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from adfsolve.bdd import BddManager
 from adfsolve.cli import CHUNK_BYTES, main
 from adfsolve.formula import parse_adf, write_adf, write_bnet
 from adfsolve.semantics import SEMANTICS, solve
@@ -117,6 +118,33 @@ def test_count_on_generated_free_input_network(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "solve", "--sem", "com", "--count", str(path))
     assert code == 0
     assert out.strip() == str(3**20)
+
+
+@pytest.mark.parametrize(
+    "flags, tables",
+    [
+        (["--count"], 1),
+        (["--enumerate"], 1),
+        (["--sample", "3"], 1),
+        (["--json", "--enumerate"], 2),
+    ],
+    ids=["count", "enumerate", "sample", "json-enumerate"],
+)
+def test_only_a_printed_count_is_counted(capsys, monkeypatch, example_path, flags, tables):
+    # a listing reads one model_counts table; counting builds another, so a
+    # query builds it twice only when it prints the count as well
+    built = 0
+    model_counts = BddManager.model_counts
+
+    def counted(self, f, levels):
+        nonlocal built
+        built += 1
+        return model_counts(self, f, levels)
+
+    monkeypatch.setattr(BddManager, "model_counts", counted)
+    code, out, _ = run_cli(capsys, "solve", "--sem", "adm", *flags, example_path)
+    assert code == 0 and out
+    assert built == tables
 
 
 def test_json_output(capsys, example_path):

@@ -495,9 +495,49 @@ def test_one_layout_serves_every_semantics():
             layout.manager.validate()
 
 
-def test_complete_on_a_wide_grid_keeps_its_store_small():
-    # folds collect their dead nodes; without that the store reaches 289 K
-    solset = solve(grid_adf(25, 8, seed=1), "com")
-    assert count(solset) == 2187
-    assert len(solset.layout.manager._nodes) < 60_000
+@pytest.mark.parametrize(
+    "shape, sem, total, bound",
+    [
+        ((25, 8, 1), "com", 2187, 60_000),
+        ((8, 8, 3), "adm", 29_273_221_600, 80_000),
+        ((25, 8, 1), "stb", 1, 120_000),
+    ],
+    ids=["com-25x8", "adm-8x8", "stb-25x8"],
+)
+def test_complete_on_a_wide_grid_keeps_its_store_small(shape, sem, total, bound):
+    # folds collect their dead nodes; without that com reaches 289 K.
+    # Validity is one fold clause per argument, which keeps every later fold
+    # step inside the valid pairs: folded into the operator's clause, adm
+    # reaches 275 K nodes, and dropped from stable's relation, stb reaches
+    # 248 K.  As they are, they take 53 K and 76 K.
+    rows, cols, seed = shape
+    solset = solve(grid_adf(rows, cols, seed=seed), sem)
+    assert count(solset) == total
+    assert len(solset.layout.manager._nodes) < bound
     solset.layout.manager.validate()
+
+
+WRONG_KIND_ADF = "s(a). s(b). s(c). ac(a,a). ac(b,neg(a)). ac(c,or(b,c))."
+
+
+@pytest.mark.parametrize(
+    "misuse",
+    [
+        lambda adf, layout, com, tv, gammas: preferred(tv, layout),
+        lambda adf, layout, com, tv, gammas: stable(com, gammas, layout),
+        lambda adf, layout, com, tv, gammas: restrict_free_inputs(com, adf, "stable"),
+        lambda adf, layout, com, tv, gammas: restrict_free_inputs(tv, adf, "preferred"),
+    ],
+    ids=["preferred-of-2v", "stable-of-com", "stable-mode-on-com", "preferred-mode-on-2v"],
+)
+def test_step_functions_reject_a_set_of_the_wrong_kind(misuse):
+    # each would otherwise count a wrong answer or fail later in counting
+    adf = parse_adf(WRONG_KIND_ADF)
+    layout = VarLayout.for_adf(adf)
+    com, tv = complete(adf, layout), two_valued_models(adf, layout)
+    assert (count(com), count(tv), count(preferred(com, layout))) == (6, 3, 3)
+    gammas = gamma_pairs(adf, layout)
+    store = dict(layout.manager._unique)
+    with pytest.raises(ValueError, match="expected a (dual|direct) set"):
+        misuse(adf, layout, com, tv, gammas)
+    assert layout.manager._unique == store  # rejected before any diagram work
