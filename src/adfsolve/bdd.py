@@ -311,8 +311,8 @@ class BddManager:
     def validate(self) -> None:
         """Check store invariants.
 
-        Every slot holds a reduced, ordered node with no freed child that
-        the unique table maps back to it, or is on the free list, never
+        Every slot holds a reduced, ordered node whose children are ids in
+        the store and not freed, and that the unique table maps back to it, or is on the free list, never
         both; no live handle points to a freed id; and no memo entry names
         a freed id or one past the store.
         """
@@ -328,6 +328,8 @@ class BddManager:
                 raise BddError(f"node {u} has equal children")
             if not 0 <= v < self.num_vars:
                 raise BddError(f"node {u} has invalid level {v}")
+            if not (0 <= lo < len(nodes) and 0 <= hi < len(nodes)):
+                raise BddError(f"node {u} has a child outside the store")
             if lo in free or hi in free:
                 raise BddError(f"node {u} has a freed child")
             if nodes[lo][0] <= v or nodes[hi][0] <= v:

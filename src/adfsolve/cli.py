@@ -16,19 +16,24 @@ early (``| head``) ends the run with exit code 1 and no traceback.
 
 Start-up is part of every query's cost, so the module imports only what
 every run needs: ``json`` is imported for ``--json`` alone and the
-brute-force ``oracle`` for ``--oracle`` alone.  A listing is written as
-joined chunks of lines of about ``CHUNK_BYTES`` each, which costs one
-system call per chunk even when stdout is unbuffered
-(``PYTHONUNBUFFERED=1``).  A plain ``--enumerate`` listing is streamed:
-each chunk is written as soon as its solutions are found, so memory does
-not grow with the listing.  ``--json`` and ``--oracle`` build the list
-first.  The chunks stay well below a pipe's capacity: an unbuffered
-write that a closing reader cuts short is not an error, so one write of
-the whole listing could lose the closed-pipe exit code.
+brute-force ``oracle`` for ``--oracle`` alone.  A plain listing is
+written from the rows of the walkers in ``solutions``: each solution is
+its line as UTF-8 bytes, written into one reused row, so no line costs
+an interpretation object or a formatted string.  The rows are joined
+into chunks of ``CHUNK_BYTES // len(row)`` rows, each decoded once and
+written with one system call even when stdout is unbuffered
+(``PYTHONUNBUFFERED=1``).  Plain ``--enumerate`` and ``--sample``
+listings are streamed: each chunk is written as soon as its solutions
+are found, so memory does not grow with the listing.  ``--oracle``
+keeps the rows until the oracle agrees, and ``--json`` lists
+interpretations.  The chunks stay well below a pipe's capacity: an
+unbuffered write that a closing reader cuts short is not an error, so
+one write of the whole listing could lose the closed-pipe exit code.
 
 ``--time`` reports the time from the start of solving until what the
 query prints is ready (a set is counted only if its count is printed);
-a streamed listing is ready once written, so its time includes writes.
+a streamed listing, plain ``--enumerate`` or ``--sample``, is ready
+once written, so its time includes the writes.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import argparse
 import os
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Iterator
 from itertools import islice
 
 from . import formula as fmt
@@ -109,18 +114,25 @@ def _solve(args: argparse.Namespace) -> None:
     solset = semantics.solve(adf, args.sem)
     counted = args.json or not (args.enumerate or args.sample is not None)
     total = solutions.count(solset) if counted else None
-    listed = None
-    if args.enumerate:
-        found = solutions.enumerate_solutions(solset, args.limit)
-        if args.json or args.oracle:
-            listed = list(found)
-        else:
-            _write_lines(interp.format_line() for interp in found)
-    elif args.sample is not None:
-        try:
-            listed = solutions.sample_uniform(solset, args.sample, args.seed)
-        except ValueError as exc:  # the solution set is empty
-            raise InputError(str(exc)) from None
+    listed = None  # interpretations for --json, rows for --oracle
+    try:
+        if args.json:
+            if args.enumerate:
+                listed = list(solutions.enumerate_solutions(solset, args.limit))
+            elif args.sample is not None:
+                listed = solutions.sample_uniform(solset, args.sample, args.seed)
+        elif args.enumerate or args.sample is not None:
+            if args.enumerate:
+                rows = solutions._enumerate_rows(solset, args.limit)
+            else:
+                rows = solutions._sample_rows(solset, args.sample, args.seed)
+            rows = map(bytes, rows)  # each walk reuses its row
+            if args.oracle:
+                listed = list(rows)  # written once the oracle agrees
+            else:
+                _write_rows(rows)
+    except ValueError as exc:  # the sampled set is empty
+        raise InputError(str(exc)) from None
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     if args.oracle:
@@ -135,7 +147,7 @@ def _solve(args: argparse.Namespace) -> None:
         payload["elapsed_ms"] = round(elapsed_ms, 3)
         print(json.dumps(payload))
     elif listed is not None:
-        _write_lines([interp.format_line() for interp in listed])
+        _write_rows(iter(listed))
     elif total is not None:
         print(total)
 
@@ -143,19 +155,18 @@ def _solve(args: argparse.Namespace) -> None:
         print(f"time: {elapsed_ms:.1f} ms", file=sys.stderr)
 
 
-def _write_lines(lines: Iterable[str]) -> None:
-    """Write each line and a newline to stdout, a joined chunk at a time
-    as the lines arrive."""
-    lines = iter(lines)
-    first = next(lines, None)
+def _write_rows(rows: Iterator[bytes]) -> None:
+    """Write the rows to stdout, ``CHUNK_BYTES // len(row)`` of them per
+    write, each chunk decoded once; the rows of one listing are equally
+    long."""
+    first = next(rows, None)
     if first is None:
         return
-    # the lines of one listing are equally long: same names, one-character values
-    step = max(1, CHUNK_BYTES // (len(first) + 1))
-    chunk = [first, *islice(lines, step - 1)]
+    step = max(1, CHUNK_BYTES // len(first))
+    chunk = first + b"".join(islice(rows, step - 1))
     while chunk:
-        sys.stdout.write("\n".join(chunk) + "\n")
-        chunk = list(islice(lines, step))
+        sys.stdout.write(chunk.decode())
+        chunk = b"".join(islice(rows, step))
 
 
 def _convert(args: argparse.Namespace) -> None:

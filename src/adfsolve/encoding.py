@@ -18,10 +18,20 @@ becomes ``(top_i & T(hi)) | (bot_i & T(lo))``.
 
 The characteristic operator at a point is itself a dual valuation:
 argument ``i``'s pair ``(top_fn, bot_fn)`` evaluated there.  Only the
-encoder and the decoder spell the truth-value code.
+encoder and the value tables read by the decoder and by the walkers in
+``solutions`` spell the truth-value code.
+
+The listing line, ``name:value`` pairs separated by single spaces, is
+spelled once, by ``_line_labels``.  It builds both an interpretation's
+``format_line`` template and the layout's *row*: the line as UTF-8 bytes
+with its newline, and the byte offset of each value, into which the
+walkers write one value byte per argument.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
+from operator import itemgetter
 
 from .bdd import _DUAL, Bdd, BddManager
 from .formula import Adf, And, Const, Formula, Iff, Imp, Not, Or, Var, _Record, _set
@@ -34,18 +44,37 @@ class EncodingError(Exception):
 _TRUTH_VALUES = frozenset(("0", "1", "*"))
 
 
+def _line_labels(names: tuple[str, ...]) -> list[str]:
+    """The text before each value of a listing line: ``name:``, after a
+    space for every argument but the first."""
+    return [(" " if i else "") + name + ":" for i, name in enumerate(names)]
+
+
 def _line_template(names: tuple[str, ...]) -> str:
-    """``%`` template printing ``name:value`` pairs, one ``%s`` per value."""
-    return " ".join(name.replace("%", "%%") + ":%s" for name in names)
+    """``%`` template printing the line, one ``%s`` per value."""
+    return "".join(label.replace("%", "%%") + "%s" for label in _line_labels(names))
+
+
+def _row_template(names: tuple[str, ...]) -> tuple[bytes, tuple[int, ...]]:
+    """The line as UTF-8 bytes ending in a newline, and each value's byte
+    offset; the values read ``?`` until a walker writes them."""
+    row = bytearray()
+    offsets = []
+    for label in _line_labels(names):
+        row += label.encode()
+        offsets.append(len(row))
+        row += b"?"
+    return bytes(row + b"\n"), tuple(offsets)
 
 
 class Interpretation(_Record):
     """Three-valued assignment over named arguments; values are '1', '0', '*'.
 
-    The public constructor checks its values.  ``decode`` builds members
-    from satisfying valuations through ``_trusted``, which skips the check
-    because such values are valid by construction, and hands over the
-    layout's line template so that ``format_line`` is one ``%``.
+    The public constructor checks its values.  ``decode`` and the row
+    reader build members from satisfying valuations and rows through
+    ``_trusted``, which skips the check because such values are valid by
+    construction, and hands over the layout's line template so that
+    ``format_line`` is one ``%``.
     """
 
     __slots__ = ("names", "values", "_line")
@@ -111,6 +140,7 @@ class VarLayout:
         if len(self._index) != self.n:
             raise EncodingError("duplicate argument names")
         self._line = _line_template(self.names)  # read by decode
+        self._row, self._offsets = _row_template(self.names)  # copied by each walk
         self._tops = frozenset(self.direct_vars)  # built once; every dual_transform memo key holds it
 
     @classmethod
@@ -226,13 +256,32 @@ def validity_constraint(layout: VarLayout) -> Bdd:
 _DIRECT_VALUE = bytes.maketrans(b"\x00\x01", b"01")
 # 2 top + bot -> value; the invalid (0,0) pair reads '?'
 _DUAL_VALUE = bytes.maketrans(b"\x00\x01\x02\x03", b"?01*")
+_INVALID = _DUAL_VALUE[0]
+
+
+def _invalid_pair(layout: VarLayout, i: int) -> EncodingError:
+    return EncodingError(f"invalid (0,0) dual pair for argument {layout.names[i]!r}")
+
+
+def _row_reader(layout: VarLayout) -> Callable[[bytearray], Interpretation]:
+    """The interpretation a row of the layout holds, read through one
+    ``itemgetter`` over the value offsets.  The row is read as latin-1,
+    one character per byte, so byte offsets index it and every value
+    byte, being ASCII, is its own character."""
+    if not layout.n:
+        return lambda row: _trusted(layout, ())
+    values = itemgetter(*layout._offsets)
+    # one offset gets a one-character string, which tuple() splits alike
+    return lambda row: _trusted(layout, tuple(values(row.decode("latin-1"))))
 
 
 def decode(valuation, layout: VarLayout, kind: str) -> Interpretation:
     """Read an interpretation back out of a satisfying valuation.
 
     ``valuation`` holds one 0/1 (or bool) per manager variable, as the
-    readers in ``solutions`` produce; ``kind`` is ``direct`` or ``dual``.
+    operator's evaluation in ``apply_gamma`` and grounding produce; the
+    walkers in ``solutions`` write rows instead.  ``kind`` is ``direct``
+    or ``dual``.
     The values are computed by C-level bytes operations and trusted by
     construction, so the interpretation skips the constructor's check.
     """
@@ -245,10 +294,9 @@ def decode(valuation, layout: VarLayout, kind: str) -> Interpretation:
     elif kind == "dual":
         pairs = 2 * int.from_bytes(raw[0::2], "big") + int.from_bytes(raw[1::2], "big")
         codes = pairs.to_bytes(n, "big").translate(_DUAL_VALUE)
-        bad = codes.find(b"?")
+        bad = codes.find(_INVALID)
         if bad >= 0:
-            name = layout.names[bad]
-            raise EncodingError(f"invalid (0,0) dual pair for argument {name!r}")
+            raise _invalid_pair(layout, bad)
     else:
         raise EncodingError(f"cannot decode kind {kind!r}")
     return _trusted(layout, tuple(codes.decode()))

@@ -8,6 +8,13 @@ anywhere).  Enumeration and sampling walk the levels in order over that
 table; a level whose rank no node on the path carries is skipped by the
 diagram.  Only the engine reads its node store.
 
+The walkers write each solution into one reused *row*, a copy of the
+layout's row template from ``encoding``, which spells the listing line
+and the truth-value code: a direct level writes its argument's value
+byte, and a dual pair is written at its bot level, which follows its top
+level in the order.  The command line writes the rows as they are; the
+public functions wrap each row as an ``Interpretation``.
+
 Output is deterministic: enumeration visits false before true at every
 level, and sampling takes a fixed sequence of draws from
 ``random.Random(seed)`` (one ``getrandbits(1)`` per level a path skips,
@@ -20,7 +27,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 
-from .encoding import Interpretation, decode
+from .encoding import _DIRECT_VALUE, _DUAL_VALUE, _INVALID, Interpretation, _invalid_pair, _row_reader
 from .semantics import SolutionSet
 
 
@@ -29,36 +36,36 @@ def count(solset: SolutionSet) -> int:
     return solset.bdd.sat_count(solset.variables())
 
 
-def enumerate_solutions(solset: SolutionSet, limit: int | None = None) -> Iterator[Interpretation]:
-    """Yield distinct interpretations in lexicographic variable order.
+def _row_plan(solset: SolutionSet) -> tuple[list[int | None], tuple[bytes, bytes]]:
+    """Per index into the set's levels, the row offset written there, or
+    ``None`` at a dual top level, which only picks the values for its
+    pair's bot level; and those values for each top bit, the codes
+    ``2 top + bit`` split in two.  A direct walk passes no top level, so
+    its values are those of top bit 0: its codes are its bits."""
+    layout = solset.layout
+    direct = solset.kind == "direct"
+    written = layout.top if direct else layout.bot
+    values = _DIRECT_VALUE if direct else _DUAL_VALUE
+    at = {written(i): offset for i, offset in enumerate(layout._offsets)}
+    return [at.get(level) for level in solset.variables()], (values[0:2], values[2:4])
 
-    False sorts before true at every level, and a level the diagram skips
-    branches both ways, so the order is deterministic for a given layout.
-    ``limit`` truncates the stream.
 
-    The walk is iterative: it descends along false branches, setting each
-    level of one shared valuation, and pushes the true branch of every
-    level it passes onto an explicit stack.  Reaching the last level yields
-    a solution; popping an entry sets its level true and descends again.
-    Each solution therefore costs the levels below its branch point, and no
-    generator frame per level.  The nodes come from the ``model_counts``
-    table, which raises before the first solution if the set depends on a
-    variable outside its kind.
-    """
+def _enumerate_rows(solset: SolutionSet, limit: int | None = None) -> Iterator[bytearray]:
+    """The enumeration walk: yields one reused row per solution."""
     if limit is not None and limit <= 0:
         raise ValueError("limit must be positive")
     layout = solset.layout
-    levels = solset.variables()
-    table = layout.manager.model_counts(solset.bdd, levels)
+    plan, by_top = _row_plan(solset)
+    table = layout.manager.model_counts(solset.bdd, solset.variables())
     u = solset.bdd.root
     if u == 0:
         return
-    kind = solset.kind
-    m = len(levels)
+    m = len(plan)
     remaining = limit
-    valuation = [False] * layout.manager.num_vars
-    # (index into levels, node reached by setting that level true)
-    stack: list[tuple[int, int]] = []
+    row = bytearray(layout._row)
+    values = by_top[0]
+    # (index into levels, node reached by setting that level true, values there)
+    stack: list[tuple[int, int, bytes]] = []
     idx = 0
     while True:
         # every node but 0 of a reduced diagram reaches 1, so a path that
@@ -69,23 +76,96 @@ def enumerate_solutions(solset: SolutionSet, limit: int | None = None) -> Iterat
                 lo = hi = u  # level skipped by the diagram: both values lead on
             if lo:
                 if hi:
-                    stack.append((idx, hi))
-                valuation[levels[idx]] = False
-                u = lo
+                    stack.append((idx, hi, values))
+                u, bit = lo, 0
             else:
-                valuation[levels[idx]] = True
-                u = hi
+                u, bit = hi, 1
+            offset = plan[idx]
+            if offset is None:
+                values = by_top[bit]
+            else:
+                row[offset] = value = values[bit]
+                if value == _INVALID:  # a (0,0) pair, outside the validity constraint
+                    raise _invalid_pair(layout, layout._offsets.index(offset))
             idx += 1
-        yield decode(valuation, layout, kind)
+        yield row
         if remaining is not None:
             remaining -= 1
             if remaining == 0:
                 return
         if not stack:
             return
-        idx, u = stack.pop()
-        valuation[levels[idx]] = True
+        idx, u, values = stack.pop()
+        offset = plan[idx]
+        if offset is None:
+            values = by_top[1]
+        else:
+            row[offset] = values[1]
         idx += 1
+
+
+def enumerate_solutions(solset: SolutionSet, limit: int | None = None) -> Iterator[Interpretation]:
+    """Yield distinct interpretations in lexicographic variable order.
+
+    False sorts before true at every level, and a level the diagram skips
+    branches both ways, so the order is deterministic for a given layout.
+    ``limit`` truncates the stream.
+
+    The walk is iterative: it descends along false branches, writing each
+    level into one shared row, and pushes the true branch of every level
+    it passes onto an explicit stack.  Reaching the last level yields a
+    solution; popping an entry sets its level true and descends again.
+    Each solution therefore costs the levels below its branch point, and no
+    generator frame per level.  The nodes come from the ``model_counts``
+    table, which raises before the first solution if the set depends on a
+    variable outside its kind.
+    """
+    return map(_row_reader(solset.layout), _enumerate_rows(solset, limit))
+
+
+def _sample_rows(solset: SolutionSet, n: int, seed: int) -> Iterator[bytearray]:
+    """The sampling walk: yields one reused row per draw."""
+    if n <= 0:
+        raise ValueError("sample size must be positive")
+    if solset.bdd.is_false:
+        raise ValueError("cannot sample from an empty solution set")
+    layout = solset.layout
+    plan, by_top = _row_plan(solset)
+    table = layout.manager.model_counts(solset.bdd, solset.variables())
+    draws = {
+        u: (lo, hi, table[lo][0], table[hi][0], weight_lo, total, total.bit_length())
+        for u, (_, lo, hi, weight_lo, total) in table.items()
+        if u > 1
+    }
+    root = solset.bdd.root
+
+    getrandbits = random.Random(seed).getrandbits
+    row = bytearray(layout._row)
+    values = by_top[0]
+    for _ in range(n):
+        u, rank = root, table[root][0]
+        for idx, offset in enumerate(plan):
+            if idx != rank:
+                bit = getrandbits(1)  # level skipped by the diagram
+            else:
+                lo, hi, rank_lo, rank_hi, weight_lo, total, bits = draws[u]
+                # randrange(total), as CPython draws it: rejection on bits-bit words
+                r = getrandbits(bits)
+                while r >= total:
+                    r = getrandbits(bits)
+                if r < weight_lo:
+                    bit = 0
+                    u, rank = lo, rank_lo
+                else:
+                    bit = 1
+                    u, rank = hi, rank_hi
+            if offset is None:
+                values = by_top[bit]
+            else:
+                row[offset] = value = values[bit]
+                if value == _INVALID:  # a (0,0) pair, outside the validity constraint
+                    raise _invalid_pair(layout, layout._offsets.index(offset))
+        yield row
 
 
 def sample_uniform(solset: SolutionSet, n: int, seed: int) -> list[Interpretation]:
@@ -108,40 +188,4 @@ def sample_uniform(solset: SolutionSet, n: int, seed: int) -> list[Interpretatio
     its children, their ranks, the false-branch weight, the total and its
     bit length.
     """
-    if n <= 0:
-        raise ValueError("sample size must be positive")
-    if solset.bdd.is_false:
-        raise ValueError("cannot sample from an empty solution set")
-    layout = solset.layout
-    levels = solset.variables()
-    table = layout.manager.model_counts(solset.bdd, levels)
-    draws = {
-        u: (lo, hi, table[lo][0], table[hi][0], weight_lo, total, total.bit_length())
-        for u, (_, lo, hi, weight_lo, total) in table.items()
-        if u > 1
-    }
-    root = solset.bdd.root
-
-    getrandbits = random.Random(seed).getrandbits
-    kind = solset.kind
-    valuation = [False] * layout.manager.num_vars
-    out = []
-    for _ in range(n):
-        u, rank = root, table[root][0]
-        for idx, level in enumerate(levels):
-            if idx != rank:
-                valuation[level] = getrandbits(1)  # level skipped by the diagram
-                continue
-            lo, hi, rank_lo, rank_hi, weight_lo, total, bits = draws[u]
-            # randrange(total), as CPython draws it: rejection on bits-bit words
-            r = getrandbits(bits)
-            while r >= total:
-                r = getrandbits(bits)
-            if r < weight_lo:
-                valuation[level] = False
-                u, rank = lo, rank_lo
-            else:
-                valuation[level] = True
-                u, rank = hi, rank_hi
-        out.append(decode(valuation, layout, kind))
-    return out
+    return list(map(_row_reader(solset.layout), _sample_rows(solset, n, seed)))

@@ -483,6 +483,8 @@ def _free(man, u, times=1):
         (lambda man, f: _free(man, 2, times=2), "free list repeats an id or holds a terminal"),
         (_append_node(2, 3, 3), "has equal children"),
         (_append_node(4, 0, 1), "has invalid level 4"),
+        (_append_node(2, 0, 99), "node 5 has a child outside the store"),
+        (_append_node(2, -1, 1), "node 5 has a child outside the store"),
         (lambda man, f: man._free.append(man._nodes[f.root][2]), "has a freed child"),
         (_append_node(1, 0, 2), "breaks the variable order"),
         (lambda man, f: man._unique.pop(man._nodes[f.root]), "missing from the unique table"),
@@ -494,6 +496,8 @@ def _free(man, u, times=1):
         "repeated-free-id",
         "equal-children",
         "level-out-of-range",
+        "child-past-the-end",
+        "negative-child",
         "freed-child",
         "order-violation",
         "missing-from-unique",

@@ -4,18 +4,21 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from adfsolve import encoding, solutions
 from adfsolve.bdd import BddManager
 from adfsolve.cli import CHUNK_BYTES, main
 from adfsolve.formula import parse_adf, write_adf, write_bnet
 from adfsolve.semantics import SEMANTICS, solve
-from adfsolve.solutions import count, enumerate_solutions
-from conftest import EXAMPLE_ADF, EXAMPLE_BNET, grid_adf, random_adf
+from adfsolve.solutions import count, enumerate_solutions, sample_uniform
+from conftest import EXAMPLE_ADF, EXAMPLE_BNET, grid_adf, random_adf, random_adf_with_free_inputs
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 FREE14 = " ".join(f"s(x{i}). ac(x{i},x{i})." for i in range(14))
@@ -429,6 +432,62 @@ def test_chunked_listing_prints_every_line(tmp_path, unbuffered):
     assert result.stdout.decode() == "\n".join(lines) + "\n"
 
 
+def test_cli_listings_equal_the_library_listings(capsys, tmp_path):
+    # the command line writes the walkers' rows; the library formats the
+    # interpretations it wraps them in
+    rng = random.Random(229)
+    path = tmp_path / "model.adf"
+    for index in range(200):
+        make = random_adf if index % 2 else random_adf_with_free_inputs
+        path.write_text(write_adf(make(rng, rng.randint(1, 7))))
+        adf = parse_adf(path.read_text())
+        for sem in SEMANTICS:
+            ss = solve(adf, sem)
+            listed = "".join(i.format_line() + "\n" for i in enumerate_solutions(ss, 50))
+            flags = ["solve", str(path), "--sem", sem]
+            assert run_cli(capsys, *flags, "--enumerate", "--limit", "50") == (0, listed, "")
+            seed = rng.randrange(2**32)
+            if ss.bdd.is_false:
+                expected = (1, "", "error: cannot sample from an empty solution set\n")
+            else:
+                drawn = sample_uniform(ss, 20, seed)
+                expected = (0, "".join(d.format_line() + "\n" for d in drawn), "")
+            sampled = run_cli(capsys, *flags, "--sample", "20", "--seed", str(seed))
+            assert sampled == expected, (index, sem, seed)
+
+
+@pytest.mark.parametrize(
+    "flags, lines",
+    [(["--sem", "2v", "--enumerate"], 16384), (["--sem", "adm", "--sample", "2000"], 2000)],
+    ids=["enumerate", "sample"],
+)
+def test_a_plain_listing_builds_no_interpretation(capsys, monkeypatch, tmp_path, flags, lines):
+    calls = Counter()
+
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return call
+
+    decode = counted("decode", encoding.decode)
+    monkeypatch.setattr(encoding, "decode", decode)
+    # a module that imported decode by name would call its own binding
+    monkeypatch.setattr(solutions, "decode", decode, raising=False)
+    monkeypatch.setattr(encoding, "_trusted", counted("_trusted", encoding._trusted))
+    path = tmp_path / "free.adf"
+    path.write_text(FREE14)
+    code, out, _ = run_cli(capsys, "solve", *flags, str(path))
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert calls["decode"] == calls["_trusted"] == 0
+    # the counters see the interpretations that --json lists
+    code, out, _ = run_cli(capsys, "solve", *flags, "--json", str(path))
+    assert code == 0
+    assert calls["_trusted"] == len(json.loads(out)["solutions"]) == lines
+
+
 def test_cli_import_leaves_unused_modules_out():
     # dataclasses pulls in inspect; json is only for --json, oracle only for --oracle
     probe = (
@@ -522,6 +581,25 @@ def test_listing_streams_under_a_memory_cap(tmp_path):
             total += 1
         assert lines.read() == ""
     assert total == 3**12 == 531441
+
+
+def test_sample_streams_under_a_memory_cap(tmp_path):
+    # built as one list before printing, these samples pass the cap
+    path = tmp_path / "free12.adf"
+    path.write_text(" ".join(f"s(x{i}). ac(x{i},x{i})." for i in range(12)))
+    listing = tmp_path / "listing.txt"
+    args = ["solve", "--sem", "adm", "--sample", "450000", "--seed", "1", str(path)]
+    with open(listing, "wb") as out:
+        result = run_capped(args, 128 * MIB, stdout=out, stderr=subprocess.PIPE)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == b""
+    # every three-valued interpretation of free arguments is admissible
+    member = re.compile(" ".join(f"x{i}:[01*]" for i in range(12)) + "\n")
+    total = 0
+    with open(listing, encoding="utf-8") as lines:
+        for total, line in enumerate(lines, 1):
+            assert member.fullmatch(line), (total, line)
+    assert total == 450000
 
 
 def test_wide_grid_completes_under_a_memory_cap(tmp_path):

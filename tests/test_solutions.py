@@ -1,6 +1,7 @@
 """Counting, enumeration order, and the exactness of uniform sampling."""
 
 import hashlib
+import itertools
 import random
 import re
 from collections import Counter
@@ -11,9 +12,9 @@ from adfsolve.bdd import BddError
 from adfsolve.cli import main
 from adfsolve.formula import Adf, Var, parse_adf, write_adf
 from adfsolve.oracle import brute_semantics
-from adfsolve.encoding import VarLayout, decode
+from adfsolve.encoding import EncodingError, VarLayout, decode, validity_constraint
 from adfsolve.semantics import SEMANTICS, SolutionSet, solve
-from adfsolve.solutions import count, enumerate_solutions, sample_uniform
+from adfsolve.solutions import _enumerate_rows, count, enumerate_solutions, sample_uniform
 from conftest import EXAMPLE_ADF, disjoint_union, random_adf, random_adf_with_free_inputs
 
 # chi-square upper critical values at significance 0.001
@@ -180,6 +181,56 @@ def test_sampling_follows_the_draw_contract():
         skipping["between nodes"] += between_nodes > 0
     assert kinds["direct"] == kinds["dual"] == 100
     assert skipping["above root"] >= 5 and skipping["between nodes"] >= 40, skipping
+
+
+def test_rows_read_as_decode_reads_them():
+    # a '%' must not reach the line's % template, and letters outside ASCII
+    # put byte offsets past character offsets
+    layout = VarLayout(("a%s", "\u00fc", "%%", "\u00dfx\u2192"))
+    man = layout.manager
+    for kind, bdd in [("dual", validity_constraint(layout)), ("direct", man.true)]:
+        ss = SolutionSet(bdd, layout, kind)
+        levels = ss.variables()
+        expected = []
+        for bits in itertools.product((0, 1), repeat=len(levels)):
+            valuation = [0] * man.num_vars
+            for level, bit in zip(levels, bits):
+                valuation[level] = bit
+            pairs = [(valuation[layout.top(i)], valuation[layout.bot(i)]) for i in range(4)]
+            if kind == "direct" or (0, 0) not in pairs:
+                expected.append(decode(valuation, layout, kind).values)
+        listed = list(enumerate_solutions(ss))
+        assert [i.values for i in listed] == expected
+        assert len(expected) == (81 if kind == "dual" else 16)
+        rows = [bytes(row).decode() for row in _enumerate_rows(ss)]
+        assert rows == [i.format_line() + "\n" for i in listed]
+        drawn = sample_uniform(ss, 60, seed=5)
+        assert [d.values for d in drawn] == reference_samples(ss, 60, 5)
+
+
+def test_an_invalid_dual_pair_raises_the_error_of_decode():
+    # a dual set without the validity constraint: enumeration reaches
+    # (0,0) first at b when a's pair is valid, and sampling meets it at
+    # the draw where decode would
+    layout = VarLayout(("a", "b", "c"))
+    man = layout.manager
+    a_valid = man.var(layout.top(0)) | man.var(layout.bot(0))
+    for bdd, name in [(man.true, "a"), (a_valid, "b")]:
+        ss = SolutionSet(bdd, layout, "dual")
+        with pytest.raises(EncodingError) as first:
+            valuation = [0] * man.num_vars
+            valuation[layout.bot(0)] = bdd != man.true
+            decode(valuation, layout, "dual")
+        assert str(first.value) == f"invalid (0,0) dual pair for argument {name!r}"
+        with pytest.raises(EncodingError) as listed:
+            next(enumerate_solutions(ss))
+        assert str(listed.value) == str(first.value)
+        for seed in range(20):
+            with pytest.raises(EncodingError) as expected:
+                reference_samples(ss, 20, seed)
+            with pytest.raises(EncodingError) as drawn:
+                sample_uniform(ss, 20, seed)
+            assert str(drawn.value) == str(expected.value)
 
 
 ELAPSED = re.compile(r'"elapsed_ms": [0-9.e+-]+')
