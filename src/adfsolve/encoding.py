@@ -19,11 +19,13 @@ becomes ``(top_i & T(hi)) | (bot_i & T(lo))``.
 The characteristic operator at a point is itself a dual valuation:
 argument ``i``'s pair ``(top_fn, bot_fn)`` evaluated there.  Only the
 encoder and the value tables read by the decoder and by the walkers in
-``solutions`` spell the truth-value code.
+``solutions`` spell the truth-value code, and every reader finds an
+argument's bits at the layout's ``top`` and ``bot`` levels, never by
+position in a valuation.
 
 The listing line, ``name:value`` pairs separated by single spaces, is
-spelled once, by ``_line_labels``.  It builds both an interpretation's
-``format_line`` template and the layout's *row*: the line as UTF-8 bytes
+spelled once, by ``_line_labels``.  ``format_line`` joins its labels with
+the values, and it builds the layout's *row*: the line as UTF-8 bytes
 with its newline, and the byte offset of each value, into which the
 walkers write one value byte per argument.
 """
@@ -50,11 +52,6 @@ def _line_labels(names: tuple[str, ...]) -> list[str]:
     return [(" " if i else "") + name + ":" for i, name in enumerate(names)]
 
 
-def _line_template(names: tuple[str, ...]) -> str:
-    """``%`` template printing the line, one ``%s`` per value."""
-    return "".join(label.replace("%", "%%") + "%s" for label in _line_labels(names))
-
-
 def _row_template(names: tuple[str, ...]) -> tuple[bytes, tuple[int, ...]]:
     """The line as UTF-8 bytes ending in a newline, and each value's byte
     offset; the values read ``?`` until a walker writes them."""
@@ -70,15 +67,13 @@ def _row_template(names: tuple[str, ...]) -> tuple[bytes, tuple[int, ...]]:
 class Interpretation(_Record):
     """Three-valued assignment over named arguments; values are '1', '0', '*'.
 
-    The public constructor checks its values.  ``decode`` and the row
-    reader build members from satisfying valuations and rows through
-    ``_trusted``, which skips the check because such values are valid by
-    construction, and hands over the layout's line template so that
-    ``format_line`` is one ``%``.
+    The public constructor checks its values and keeps both fields as
+    tuples.  ``decode`` and the row reader build members from satisfying
+    valuations and rows through ``_trusted``, which skips the check
+    because such values are valid by construction.
     """
 
-    __slots__ = ("names", "values", "_line")
-    __match_args__ = ("names", "values")
+    __slots__ = __match_args__ = ("names", "values")
 
     def __init__(self, names: tuple[str, ...], values: tuple[str, ...]):
         if len(names) != len(values):
@@ -86,8 +81,8 @@ class Interpretation(_Record):
         if not _TRUTH_VALUES.issuperset(values):
             bad = next(v for v in values if v not in _TRUTH_VALUES)
             raise EncodingError(f"invalid truth value {bad!r}")
-        _set(self, "names", names)
-        _set(self, "values", values)
+        _set(self, "names", tuple(names))
+        _set(self, "values", tuple(values))
 
     def __getitem__(self, name: str) -> str:
         return self.values[self.names.index(name)]
@@ -106,13 +101,8 @@ class Interpretation(_Record):
         return dict(zip(self.names, self.values))
 
     def format_line(self) -> str:
-        """``name:value`` pairs separated by single spaces."""
-        try:
-            line = self._line
-        except AttributeError:  # built by the public constructor
-            line = _line_template(self.names)
-            _set(self, "_line", line)
-        return line % self.values
+        """``name:value`` pairs separated by single spaces, as a listing prints them."""
+        return "".join(map(str.__add__, _line_labels(self.names), self.values))
 
 
 def _trusted(layout: VarLayout, values: tuple[str, ...]) -> Interpretation:
@@ -120,16 +110,17 @@ def _trusted(layout: VarLayout, values: tuple[str, ...]) -> Interpretation:
     interp = object.__new__(Interpretation)
     _set(interp, "names", layout.names)
     _set(interp, "values", values)
-    _set(interp, "_line", layout._line)
     return interp
 
 
 class VarLayout:
     """Interleaved per-argument variable pairs in one manager.
 
-    Argument ``i`` occupies levels ``2i`` (top) and ``2i + 1`` (bot); the
-    manager therefore has ``2 n`` variables.  Two-valued sets range over
-    ``direct_vars``, the top levels.
+    Argument ``i`` occupies levels ``top(i) = 2i`` and ``bot(i) = 2i + 1``;
+    the manager therefore has ``2 n`` variables.  Every reader goes through
+    ``top`` and ``bot``, so only they place an argument; the dual transform
+    and the walkers need each bot level right after its top one.
+    Two-valued sets range over ``direct_vars``, the top levels.
     """
 
     def __init__(self, names: tuple[str, ...] | list[str]):
@@ -139,7 +130,6 @@ class VarLayout:
         self._index = {name: i for i, name in enumerate(self.names)}
         if len(self._index) != self.n:
             raise EncodingError("duplicate argument names")
-        self._line = _line_template(self.names)  # read by decode
         self._row, self._offsets = _row_template(self.names)  # copied by each walk
         self._tops = frozenset(self.direct_vars)  # built once; every dual_transform memo key holds it
 
@@ -275,31 +265,36 @@ def _row_reader(layout: VarLayout) -> Callable[[bytearray], Interpretation]:
     return lambda row: _trusted(layout, tuple(values(row.decode("latin-1"))))
 
 
+def _dual_values(layout: VarLayout, bits: list[tuple[int, int]]) -> Interpretation:
+    """The interpretation whose argument ``i`` has the dual pair ``bits[i]``,
+    a ``(top, bot)`` pair of 0/1 or bool."""
+    codes = bytes(2 * top + bot for top, bot in bits).translate(_DUAL_VALUE)
+    bad = codes.find(_INVALID)
+    if bad >= 0:
+        raise _invalid_pair(layout, bad)
+    return _trusted(layout, tuple(codes.decode()))
+
+
 def decode(valuation, layout: VarLayout, kind: str) -> Interpretation:
     """Read an interpretation back out of a satisfying valuation.
 
-    ``valuation`` holds one 0/1 (or bool) per manager variable, as the
-    operator's evaluation in ``apply_gamma`` and grounding produce; the
-    walkers in ``solutions`` write rows instead.  ``kind`` is ``direct``
-    or ``dual``.
-    The values are computed by C-level bytes operations and trusted by
-    construction, so the interpretation skips the constructor's check.
+    ``valuation`` holds one 0/1 (or bool) per manager variable, as
+    grounding produces; the walkers in ``solutions`` write rows instead.
+    ``kind`` is ``direct`` or ``dual``.  Argument ``i``'s value is read at
+    ``layout.top(i)``, and for ``dual`` at ``layout.bot(i)`` too.  The
+    values are valid by construction, so the interpretation skips the
+    constructor's check.
     """
     n = layout.n
     raw = bytes(valuation)
     if len(raw) != 2 * n or raw.translate(None, b"\x00\x01"):
         raise EncodingError(f"a valuation needs {2 * n} entries, each 0 or 1")
     if kind == "direct":
-        codes = raw[0::2].translate(_DIRECT_VALUE)
-    elif kind == "dual":
-        pairs = 2 * int.from_bytes(raw[0::2], "big") + int.from_bytes(raw[1::2], "big")
-        codes = pairs.to_bytes(n, "big").translate(_DUAL_VALUE)
-        bad = codes.find(_INVALID)
-        if bad >= 0:
-            raise _invalid_pair(layout, bad)
-    else:
-        raise EncodingError(f"cannot decode kind {kind!r}")
-    return _trusted(layout, tuple(codes.decode()))
+        codes = bytes(raw[layout.top(i)] for i in range(n)).translate(_DIRECT_VALUE)
+        return _trusted(layout, tuple(codes.decode()))
+    if kind == "dual":
+        return _dual_values(layout, [(raw[layout.top(i)], raw[layout.bot(i)]) for i in range(n)])
+    raise EncodingError(f"cannot decode kind {kind!r}")
 
 
 def encode_interpretation(interp: Interpretation, layout: VarLayout, kind: str) -> list[bool]:
@@ -322,5 +317,7 @@ def encode_interpretation(interp: Interpretation, layout: VarLayout, kind: str) 
 def apply_gamma(pairs: list[GammaPair], interp: Interpretation, layout: VarLayout) -> Interpretation:
     """The operator at one interpretation: each argument's ``(top_fn, bot_fn)`` evaluated there."""
     point = encode_interpretation(interp, layout, "dual")
-    step = [fn.evaluate(point) for pair in pairs for fn in (pair.top_fn, pair.bot_fn)]
-    return decode(step, layout, "dual")
+    if len(pairs) != layout.n:
+        raise EncodingError(f"{len(pairs)} operator pairs for {layout.n} arguments")
+    step = [(pair.top_fn.evaluate(point), pair.bot_fn.evaluate(point)) for pair in pairs]
+    return _dual_values(layout, step)

@@ -156,6 +156,16 @@ def test_gamma_pairs_example():
     assert apply_gamma(pairs, interp, layout).values == ("1", "1", "1")
 
 
+def test_apply_gamma_rejects_a_wrong_number_of_pairs():
+    adf = parse_adf(EXAMPLE_ADF)
+    layout = VarLayout.for_adf(adf)
+    pairs = gamma_pairs(adf, layout)
+    interp = Interpretation(adf.arguments, ("1", "*", "*"))
+    for wrong in (pairs[:-1], pairs + pairs[:1]):
+        with pytest.raises(EncodingError):
+            apply_gamma(wrong, interp, layout)
+
+
 def test_gamma_collapses_on_two_valued_interpretations():
     rng = random.Random(67)
     for _ in range(20):

@@ -72,7 +72,7 @@ def test_repr_names_class_and_fields():
     assert repr(Not(Var("x"))) == "Not(child=Var(name='x'))"
     assert repr(Adf(("a",), (Var("a"),))) == "Adf(arguments=('a',), conditions=(Var(name='a'),))"
     interp = Interpretation(("a", "b"), ("1", "*"))
-    interp.format_line()  # caches its line template, which is no field
+    interp.format_line()  # leaves nothing on the record for repr to show
     assert repr(interp) == "Interpretation(names=('a', 'b'), values=('1', '*'))"
 
 
@@ -90,6 +90,16 @@ def test_public_interpretation_checks_its_values():
         Interpretation(("a", "b"), ("1",))
     with pytest.raises(EncodingError, match="invalid truth value '2'"):
         Interpretation(("a", "b"), ("1", "2"))
+
+
+def test_public_interpretation_keeps_tuples():
+    from_string = Interpretation(("a", "b"), "10")
+    assert from_string.values == ("1", "0")
+    assert from_string == Interpretation(("a", "b"), ("1", "0"))
+    assert from_string.format_line() == "a:1 b:0"
+    from_lists = Interpretation(["a", "b"], ["1", "*"])
+    assert from_lists.names == ("a", "b") and from_lists.values == ("1", "*")
+    assert {from_lists} == {Interpretation(("a", "b"), ("1", "*"))}
 
 
 def test_gamma_pair_and_solution_set():

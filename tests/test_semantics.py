@@ -2,10 +2,18 @@
 
 import random
 import time
+from itertools import product
 
 import pytest
 
-from adfsolve.encoding import EncodingError, VarLayout, encode_interpretation, gamma_pairs
+from adfsolve.encoding import (
+    EncodingError,
+    Interpretation,
+    VarLayout,
+    apply_gamma,
+    encode_interpretation,
+    gamma_pairs,
+)
 from adfsolve.bdd import Bdd, BddManager
 from adfsolve.formula import Adf, And, Const, Not, Var, parse_adf
 from adfsolve.oracle import brute_semantics
@@ -22,7 +30,7 @@ from adfsolve.semantics import (
     stable,
     two_valued_models,
 )
-from adfsolve.solutions import count, enumerate_solutions
+from adfsolve.solutions import count, enumerate_solutions, sample_uniform
 from conftest import (
     EXAMPLE_ADF,
     disjoint_union,
@@ -32,14 +40,19 @@ from conftest import (
 )
 
 
-def solved_set(adf, sem, restrict=True):
-    if restrict:
+def solved_set(adf, sem, restrict=None):
+    """The set ``solve`` lists; or, given ``restrict``, prf or stb built by
+    its step function with or without ``restrict_free_inputs`` first."""
+    if restrict is None:
         return set(enumerate_solutions(solve(adf, sem)))
     layout = VarLayout.for_adf(adf)
+    base = complete(adf, layout) if sem == "prf" else two_valued_models(adf, layout)
+    if restrict:
+        base = restrict_free_inputs(base, adf, "preferred" if sem == "prf" else "stable")
     if sem == "prf":
-        solset = preferred(complete(adf, layout), layout)
+        solset = preferred(base, layout)
     else:
-        solset = stable(two_valued_models(adf, layout), gamma_pairs(adf, layout), layout)
+        solset = stable(base, gamma_pairs(adf, layout), layout)
     return set(enumerate_solutions(solset))
 
 
@@ -342,6 +355,46 @@ def test_grid_inclusion_chain():
     assert elapsed < 60.0
 
 
+class PermutedLayout(VarLayout):
+    """Argument ``i`` at the pair of levels that position ``perm[i]`` has
+    in the declared layout, so that level order is not argument order."""
+
+    def __init__(self, names, perm):
+        super().__init__(names)
+        self.perm = perm
+
+    def top(self, i):
+        return 2 * self.perm[i]
+
+    def bot(self, i):
+        return 2 * self.perm[i] + 1
+
+
+def test_a_permuted_layout_gives_the_same_answers():
+    # every reader of the truth-value code must place argument i at
+    # top(i) and bot(i), not at levels 2i and 2i + 1
+    rng = random.Random(157)
+    for trial in range(200):
+        n = rng.randint(1, 6)
+        make = random_adf if trial % 2 else random_adf_with_free_inputs
+        adf = make(rng, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        layout, permuted = VarLayout.for_adf(adf), PermutedLayout(adf.arguments, perm)
+        for sem in SEMANTICS:
+            expected = brute_semantics(adf, sem)
+            solset = solve(adf, sem, permuted)
+            assert set(enumerate_solutions(solset)) == expected, f"{sem} diverged on {adf}, {perm}"
+            assert count(solset) == len(expected)
+            if expected:
+                assert expected.issuperset(sample_uniform(solset, 5, seed=trial))
+        assert grounded(adf, permuted) == grounded(adf, layout)
+        pairs, permuted_pairs = gamma_pairs(adf, layout), gamma_pairs(adf, permuted)
+        for values in product("01*", repeat=n):
+            interp = Interpretation(adf.arguments, values)
+            assert apply_gamma(permuted_pairs, interp, permuted) == apply_gamma(pairs, interp, layout)
+
+
 @pytest.mark.parametrize(
     "adf",
     [alternating_chain(1000), grid_adf(12, 8), constant_headed_chain(400)],
@@ -452,8 +505,9 @@ def test_restriction_changes_nothing():
     rng = random.Random(139)
     for _ in range(20):
         adf = random_adf_with_free_inputs(rng, rng.randint(2, 6))
-        assert solved_set(adf, "prf", restrict=True) == solved_set(adf, "prf", restrict=False)
-        assert solved_set(adf, "stb", restrict=True) == solved_set(adf, "stb", restrict=False)
+        for sem in ("prf", "stb"):
+            narrowed = solved_set(adf, sem, restrict=True)
+            assert narrowed == solved_set(adf, sem, restrict=False) == solved_set(adf, sem)
 
 
 def test_restriction_shrinks_search_sets():
