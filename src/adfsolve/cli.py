@@ -16,24 +16,22 @@ early (``| head``) ends the run with exit code 1 and no traceback.
 
 Start-up is part of every query's cost, so the module imports only what
 every run needs: ``json`` is imported for ``--json`` alone and the
-brute-force ``oracle`` for ``--oracle`` alone.  A plain listing is
-written from the rows of the walkers in ``solutions``: each solution is
-its line as UTF-8 bytes, written into one reused row, so no line costs
-an interpretation object or a formatted string.  The rows are joined
-into chunks of ``CHUNK_BYTES // len(row)`` rows, each decoded once and
-written with one system call even when stdout is unbuffered
-(``PYTHONUNBUFFERED=1``).  Plain ``--enumerate`` and ``--sample``
-listings are streamed: each chunk is written as soon as its solutions
-are found, so memory does not grow with the listing.  ``--oracle``
-keeps the rows until the oracle agrees, and ``--json`` lists
-interpretations.  The chunks stay well below a pipe's capacity: an
-unbuffered write that a closing reader cuts short is not an error, so
-one write of the whole listing could lose the closed-pipe exit code.
+brute-force ``oracle`` for ``--oracle`` alone.
 
-``--time`` reports the time from the start of solving until what the
-query prints is ready (a set is counted only if its count is printed);
-a streamed listing, plain ``--enumerate`` or ``--sample``, is ready
-once written, so its time includes the writes.
+Every listing, plain or ``--json``, is written from the rows of the
+walkers in ``solutions`` as they are drawn, so no solution costs an
+interpretation object and memory does not grow with the listing.  A row
+is a solution's listing line as UTF-8 bytes; ``--json`` fills one bytes
+template per layout from it.  Rows go out in chunks of ``CHUNK_BYTES //
+len(row)``, each decoded once and written with one system call even when
+stdout is unbuffered (``PYTHONUNBUFFERED=1``).  The chunks stay well
+below a pipe's capacity: an unbuffered write that a closing reader cuts
+short is not an error, so one write of the whole listing could lose the
+closed-pipe exit code.  ``--oracle`` checks before anything is printed.
+
+``--time`` and ``elapsed_ms`` run from the start of solving until what
+the query prints is ready: they include an ``--oracle`` check, a count
+only if it is printed, and a listing's writes.
 """
 
 from __future__ import annotations
@@ -43,10 +41,11 @@ import os
 import sys
 import time
 from collections.abc import Iterator
-from itertools import islice
+from itertools import chain, islice
+from operator import itemgetter
 
 from . import formula as fmt
-from . import semantics, solutions
+from . import encoding, semantics, solutions
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -112,58 +111,58 @@ def _solve(args: argparse.Namespace) -> None:
 
     started = time.perf_counter()
     solset = semantics.solve(adf, args.sem)
-    counted = args.json or not (args.enumerate or args.sample is not None)
-    total = solutions.count(solset) if counted else None
-    listed = None  # interpretations for --json, rows for --oracle
-    try:
-        if args.json:
-            if args.enumerate:
-                listed = list(solutions.enumerate_solutions(solset, args.limit))
-            elif args.sample is not None:
-                listed = solutions.sample_uniform(solset, args.sample, args.seed)
-        elif args.enumerate or args.sample is not None:
-            if args.enumerate:
-                rows = solutions._enumerate_rows(solset, args.limit)
-            else:
-                rows = solutions._sample_rows(solset, args.sample, args.seed)
-            rows = map(bytes, rows)  # each walk reuses its row
-            if args.oracle:
-                listed = list(rows)  # written once the oracle agrees
-            else:
-                _write_rows(rows)
-    except ValueError as exc:  # the sampled set is empty
-        raise InputError(str(exc)) from None
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-
     if args.oracle:
         _oracle_check(adf, solset, args.sem)
-
+    listing = args.enumerate or args.sample is not None
+    total = solutions.count(solset) if args.json or not listing else None
+    head = tail = ""  # the JSON envelope is written around a listing, or after a count
     if args.json:
         import json  # only --json needs it
 
-        payload: dict = {"semantics": args.sem, "count": total}
-        if listed is not None:
-            payload["solutions"] = [interp.as_dict() for interp in listed]
-        payload["elapsed_ms"] = round(elapsed_ms, 3)
-        print(json.dumps(payload))
-    elif listed is not None:
-        _write_rows(iter(listed))
-    elif total is not None:
+        tail = json.dumps({"semantics": args.sem, "count": total})[:-1]
+    if listing:
+        if args.enumerate:
+            rows = solutions._enumerate_rows(solset, args.limit)
+        else:
+            rows = solutions._sample_rows(solset, args.sample, args.seed)
+        if args.json:
+            rows, head, tail = _json_objects(solset.layout, rows), tail + ', "solutions": [', "]"
+        else:
+            rows = map(bytes, rows)  # each walk reuses its row
+        try:
+            _write_rows(rows, head)
+        except ValueError as exc:  # the sampled set is empty
+            raise InputError(str(exc)) from None
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+
+    if args.json:
+        print(f'{tail}, "elapsed_ms": {json.dumps(round(elapsed_ms, 3))}}}')
+    elif not listing:
         print(total)
 
     if args.time:
         print(f"time: {elapsed_ms:.1f} ms", file=sys.stderr)
 
 
-def _write_rows(rows: Iterator[bytes]) -> None:
-    """Write the rows to stdout, ``CHUNK_BYTES // len(row)`` of them per
-    write, each chunk decoded once; the rows of one listing are equally
-    long."""
-    first = next(rows, None)
-    if first is None:
-        return
-    step = max(1, CHUNK_BYTES // len(first))
-    chunk = first + b"".join(islice(rows, step - 1))
+def _json_objects(layout: encoding.VarLayout, rows: Iterator[bytearray]) -> Iterator[bytes]:
+    """Each row as the object ``json.dumps`` writes for its interpretation,
+    after ``, `` but the first, filled into one bytes template per layout."""
+    import json
+
+    fields = [json.dumps(name).replace("%", "%%") + ': "%c"' for name in layout.names]
+    template = ("{" + ", ".join(fields) + "}").encode()
+    # itemgetter() needs an offset, and one offset gets a bare int
+    values = itemgetter(*layout._offsets) if layout.n else lambda row: ()
+    objects = map(template.__mod__, map(values, rows))
+    return chain(islice(objects, 1), map(b", ".__add__, objects))
+
+
+def _write_rows(rows: Iterator[bytes], head: str = "") -> None:
+    """Write ``head`` and the rows, about ``CHUNK_BYTES`` per write.  A row is
+    drawn before anything is written, so an empty sampled set writes nothing."""
+    first = next(rows, b"")
+    step = max(1, CHUNK_BYTES // (len(first) or 1))
+    chunk = head.encode() + first + b"".join(islice(rows, step - 1))
     while chunk:
         sys.stdout.write(chunk.decode())
         chunk = b"".join(islice(rows, step))

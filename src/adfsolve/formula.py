@@ -318,7 +318,7 @@ def parse_adf(text: str) -> Adf:
     conditions may reference declared arguments only.
     """
     scanner = _Scanner(text)
-    order: list[str] = []
+    order: dict[str, None] = {}  # the declared names, in declaration order
     conditions: dict[str, Formula] = {}
     while not scanner.at_end():
         keyword = scanner.name()
@@ -329,7 +329,7 @@ def parse_adf(text: str) -> Adf:
             scanner.expect(".")
             if name in order:
                 raise FormatError(f"argument {name!r} declared twice")
-            order.append(name)
+            order[name] = None
         elif keyword == "ac":
             scanner.expect("(")
             name = scanner.name()
@@ -342,9 +342,8 @@ def parse_adf(text: str) -> Adf:
             conditions[name] = condition
         else:
             raise scanner.error(f"expected 's' or 'ac' statement, found {keyword!r}")
-    declared = set(order)
     for name in conditions:
-        if name not in declared:
+        if name not in order:
             raise FormatError(f"condition given for undeclared argument {name!r}")
     missing = [name for name in order if name not in conditions]
     if missing:

@@ -23,6 +23,7 @@ from conftest import EXAMPLE_ADF, EXAMPLE_BNET, grid_adf, random_adf, random_adf
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 FREE14 = " ".join(f"s(x{i}). ac(x{i},x{i})." for i in range(14))
 MIB = 1 << 20
+ELAPSED = re.compile(r'"elapsed_ms": [0-9.e+-]+')
 
 
 def child_env(unbuffered: bool) -> dict:
@@ -433,8 +434,16 @@ def test_chunked_listing_prints_every_line(tmp_path, unbuffered):
 
 
 def test_cli_listings_equal_the_library_listings(capsys, tmp_path):
-    # the command line writes the walkers' rows; the library formats the
-    # interpretations it wraps them in
+    # the command line writes the walkers' rows, as lines or as JSON
+    # objects; the library wraps them in interpretations, formatted by
+    # format_line or dumped from as_dict
+    def printed(ss, sem, interps, as_json):
+        if not as_json:
+            return "".join(i.format_line() + "\n" for i in interps)
+        dicts = [i.as_dict() for i in interps]
+        payload = {"semantics": sem, "count": count(ss), "solutions": dicts, "elapsed_ms": 0}
+        return json.dumps(payload) + "\n"
+
     rng = random.Random(229)
     path = tmp_path / "model.adf"
     for index in range(200):
@@ -443,17 +452,24 @@ def test_cli_listings_equal_the_library_listings(capsys, tmp_path):
         adf = parse_adf(path.read_text())
         for sem in SEMANTICS:
             ss = solve(adf, sem)
-            listed = "".join(i.format_line() + "\n" for i in enumerate_solutions(ss, 50))
-            flags = ["solve", str(path), "--sem", sem]
-            assert run_cli(capsys, *flags, "--enumerate", "--limit", "50") == (0, listed, "")
+            listed = list(enumerate_solutions(ss, 50))
             seed = rng.randrange(2**32)
-            if ss.bdd.is_false:
-                expected = (1, "", "error: cannot sample from an empty solution set\n")
-            else:
+            try:
                 drawn = sample_uniform(ss, 20, seed)
-                expected = (0, "".join(d.format_line() + "\n" for d in drawn), "")
-            sampled = run_cli(capsys, *flags, "--sample", "20", "--seed", str(seed))
-            assert sampled == expected, (index, sem, seed)
+            except ValueError as exc:  # the set is empty
+                drawn, empty = None, f"error: {exc}\n"
+            flags = ["solve", str(path), "--sem", sem]
+            for extra in ([], ["--json"]):
+                code, out, err = run_cli(capsys, *flags, "--enumerate", "--limit", "50", *extra)
+                out = ELAPSED.sub('"elapsed_ms": 0', out)
+                assert (code, out, err) == (0, printed(ss, sem, listed, extra), ""), (index, sem)
+                code, out, err = run_cli(capsys, *flags, "--sample", "20", "--seed", str(seed), *extra)
+                out = ELAPSED.sub('"elapsed_ms": 0', out)
+                if drawn is None:
+                    expected = (1, "", empty)
+                else:
+                    expected = (0, printed(ss, sem, drawn, extra), "")
+                assert (code, out, err) == expected, (index, sem, seed, extra)
 
 
 @pytest.mark.parametrize(
@@ -482,10 +498,11 @@ def test_a_plain_listing_builds_no_interpretation(capsys, monkeypatch, tmp_path,
     assert code == 0
     assert len(out.splitlines()) == lines
     assert calls["decode"] == calls["_trusted"] == 0
-    # the counters see the interpretations that --json lists
+    # a --json listing is written from the same rows
     code, out, _ = run_cli(capsys, "solve", *flags, "--json", str(path))
     assert code == 0
-    assert calls["_trusted"] == len(json.loads(out)["solutions"]) == lines
+    assert len(json.loads(out)["solutions"]) == lines
+    assert calls["decode"] == calls["_trusted"] == 0
 
 
 def test_cli_import_leaves_unused_modules_out():
@@ -544,9 +561,13 @@ def test_oracle_cap_exit_code(capsys, tmp_path):
     assert err == "error: 14 arguments exceed the brute-force cap of 12\n"
 
 
-def test_oracle_mismatch_exit_code(capsys, monkeypatch, example_path):
+@pytest.mark.parametrize(
+    "flags", [[], ["--enumerate"], ["--json", "--enumerate"]], ids=["count", "enumerate", "json"]
+)
+def test_oracle_mismatch_exit_code(capsys, monkeypatch, example_path, flags):
+    # the oracle checks before anything is printed
     monkeypatch.setattr("adfsolve.oracle.brute_semantics", lambda adf, sem: set())
-    code, out, err = run_cli(capsys, "solve", "--sem", "prf", "--oracle", example_path)
+    code, out, err = run_cli(capsys, "solve", "--sem", "prf", "--oracle", *flags, example_path)
     assert code == 1
     assert out == ""
     assert err == (
@@ -600,6 +621,33 @@ def test_sample_streams_under_a_memory_cap(tmp_path):
         for total, line in enumerate(lines, 1):
             assert member.fullmatch(line), (total, line)
     assert total == 450000
+
+
+def test_json_listing_streams_under_a_memory_cap(tmp_path):
+    # built as interpretations, then dicts, then one string, these
+    # samples pass the cap
+    n = 250000
+    path = tmp_path / "free12.adf"
+    path.write_text(" ".join(f"s(x{i}). ac(x{i},x{i})." for i in range(12)))
+    listing = tmp_path / "listing.json"
+    args = ["solve", "--sem", "adm", "--sample", str(n), "--seed", "1", "--json", str(path)]
+    with open(listing, "wb") as out:
+        result = run_capped(args, 128 * MIB, stdout=out, stderr=subprocess.PIPE)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == b""
+    names = [f"x{i}" for i in range(12)]
+
+    def member(obj):
+        # every three-valued interpretation of free arguments is admissible
+        if "semantics" in obj:
+            return obj
+        assert list(obj) == names and set(obj.values()) <= {"0", "1", "*"}, obj
+        return True
+
+    payload = json.loads(listing.read_text(), object_hook=member)
+    assert list(payload) == ["semantics", "count", "solutions", "elapsed_ms"]
+    assert payload["count"] == 3**12
+    assert payload["solutions"] == [True] * n
 
 
 def test_wide_grid_completes_under_a_memory_cap(tmp_path):

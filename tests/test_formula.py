@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from itertools import product
 
 import pytest
@@ -280,6 +281,34 @@ def test_argument_order_is_declaration_order():
     assert adf.arguments == ("z", "a", "m")
     bnet = parse_bnet("targets, factors\nz, a\na, m\nm, z\n")
     assert bnet.arguments == ("z", "a", "m")
+
+
+def alternating_chain_text(n):
+    """``x0`` is free and every later argument negates its predecessor."""
+    statements = [f"s(x{i})." for i in range(n)] + ["ac(x0,x0)."]
+    statements += [f"ac(x{i},neg(x{i - 1}))." for i in range(1, n)]
+    return " ".join(statements)
+
+
+def test_parse_adf_is_linear_in_the_arguments():
+    # each declaration is checked for a repeat in constant time: four
+    # times the arguments take about four times as long, where a scan of
+    # the names declared so far made it about twelve
+    def best_of_three(text):
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            adf = parse_adf(text)
+            times.append(time.perf_counter() - started)
+        return adf, min(times)
+
+    _, small_s = best_of_three(alternating_chain_text(4000))
+    large, large_s = best_of_three(alternating_chain_text(16000))
+    assert large.arguments == tuple(f"x{i}" for i in range(16000))
+    assert large.conditions[1] == Not(Var("x0"))
+    assert large_s / small_s < 8, (small_s, large_s)
+    with pytest.raises(FormatError, match="^argument 'x7' declared twice$"):
+        parse_adf(alternating_chain_text(8) + " s(x7).")
 
 
 def test_adf_validation():
