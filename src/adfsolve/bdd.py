@@ -14,11 +14,12 @@ quantification, the monotone upward closure of a set under bitwise
 inclusion over a given group of variables, and the dual lift behind
 ``encoding.dual_transform``.  The minimal members of a set under that
 inclusion are built on the closure in one further pass, and model
-counting is one depth-first walk into a table that the readers of a
-solution set share.  Constructions over a level set are
-manager methods, queries on one diagram ``Bdd`` methods.  A single memo,
-keyed by an opcode and operand ids, serves the three operators and the
-rebuild pass; ``minimal`` keeps a per-call memo of its own.
+counting is one depth-first walk that links a count entry per node; the
+readers of a solution set walk those entries, never node ids.
+Constructions over a level set are manager methods, queries on one
+diagram ``Bdd`` methods.  A single memo, keyed by an opcode and operand
+ids, serves the three operators and the rebuild pass; ``minimal`` keeps
+a per-call memo of its own.
 
 Memory is bounded at safe points, the steps of ``conjoin``'s fold.  The
 memo lives one fold step: it is emptied after each step, so it holds only
@@ -268,16 +269,17 @@ class BddManager:
 
     def model_counts(
         self, f: "Bdd", levels: Sequence[int]
-    ) -> dict[int, tuple[int, int, int, int, int]]:
-        """One table of exact model counts over sorted ``levels``.
+    ) -> tuple[int, tuple | None, tuple | None, int, int]:
+        """The root's entry of exact model counts over sorted ``levels``.
 
-        Maps every node ``u`` reachable from the root, and both terminals,
-        to ``(rank, lo, hi, weight_lo, total)``: ``rank`` is the position of
-        its variable in ``levels`` (``len(levels)`` for the terminals),
-        ``total`` the number of assignments to ``levels[rank:]`` that lead
-        from ``u`` to the true terminal and ``weight_lo`` the share of them
-        through the false branch.  Counting, enumeration and sampling all
-        read this table, level by level.  One depth-first walk fills in a
+        Each node reachable from the root gets one entry
+        ``(rank, lo, hi, weight_lo, total)``: ``rank`` is the position of
+        its variable in ``levels`` (``len(levels)`` at a terminal), ``lo``
+        and ``hi`` its children's entries (``None`` at a terminal), ``total``
+        the number of assignments to ``levels[rank:]`` that lead from it to
+        the true terminal and ``weight_lo`` the share of them through the
+        false branch.  Counting, enumeration and sampling walk these entries,
+        so no node id leaves the engine.  One depth-first walk fills in a
         node's children before the node; raises :class:`BddError` if ``f``
         depends on a variable outside ``levels``.
         """
@@ -285,7 +287,7 @@ class BddManager:
         rank = {v: i for i, v in enumerate(levels)}
         m = len(levels)
         nodes = self._nodes
-        table = {0: (m, 0, 0, 0, 0), 1: (m, 1, 1, 0, 1)}
+        entry = {0: (m, None, None, 0, 0), 1: (m, None, None, 0, 1)}
         # the stack holds the path from the root to the node in hand; it is
         # explicit because Python 3.10 overflows the C stack when a recursion
         # is as deep as a 10,000-argument chain
@@ -293,28 +295,28 @@ class BddManager:
         while stack:
             u = stack[-1]
             v, lo, hi = nodes[u]
-            if lo not in table:
+            if lo not in entry:
                 stack.append(lo)
-            elif hi not in table:
+            elif hi not in entry:
                 stack.append(hi)
             else:
                 r = rank.get(v)
                 if r is None:
                     raise BddError(f"function depends on variable {v} outside the counting set")
-                rank_lo, _, _, _, total_lo = table[lo]
-                rank_hi, _, _, _, total_hi = table[hi]
-                weight_lo = total_lo << (rank_lo - r - 1)
-                table[u] = (r, lo, hi, weight_lo, weight_lo + (total_hi << (rank_hi - r - 1)))
+                low, high = entry[lo], entry[hi]
+                weight_lo = low[4] << (low[0] - r - 1)
+                entry[u] = (r, low, high, weight_lo, weight_lo + (high[4] << (high[0] - r - 1)))
                 stack.pop()
-        return table
+        return entry[f.root]
 
     def validate(self) -> None:
         """Check store invariants.
 
-        Every slot holds a reduced, ordered node whose children are ids in
-        the store and not freed, and that the unique table maps back to it, or is on the free list, never
-        both; no live handle points to a freed id; and no memo entry names
-        a freed id or one past the store.
+        Every slot either holds a reduced, ordered node or is on the free
+        list, never both; a held node's children are ids in the store,
+        neither of them freed, and the unique table maps the node back to
+        its slot.  No live handle points to a freed id, and no memo entry
+        names a freed id or one past the store.
         """
         nodes = self._nodes
         free = set(self._free)
@@ -521,7 +523,7 @@ class Bdd:
         beyond 64 bits.  The function must not depend on variables outside
         ``over``.
         """
-        rank, _, _, _, total = self.manager.model_counts(self, sorted(set(over)))[self.root]
+        rank, _, _, _, total = self.manager.model_counts(self, sorted(set(over)))
         return total << rank
 
     def support(self) -> set[int]:

@@ -42,7 +42,6 @@ import sys
 import time
 from collections.abc import Iterator
 from itertools import chain, islice
-from operator import itemgetter
 
 from . import formula as fmt
 from . import encoding, semantics, solutions
@@ -122,7 +121,7 @@ def _solve(args: argparse.Namespace) -> None:
         tail = json.dumps({"semantics": args.sem, "count": total})[:-1]
     if listing:
         if args.enumerate:
-            rows = solutions._enumerate_rows(solset, args.limit)
+            rows = islice(solutions._enumerate_rows(solset), args.limit)
         else:
             rows = solutions._sample_rows(solset, args.sample, args.seed)
         if args.json:
@@ -151,9 +150,7 @@ def _json_objects(layout: encoding.VarLayout, rows: Iterator[bytearray]) -> Iter
 
     fields = [json.dumps(name).replace("%", "%%") + ': "%c"' for name in layout.names]
     template = ("{" + ", ".join(fields) + "}").encode()
-    # itemgetter() needs an offset, and one offset gets a bare int
-    values = itemgetter(*layout._offsets) if layout.n else lambda row: ()
-    objects = map(template.__mod__, map(values, rows))
+    objects = map(template.__mod__, map(layout._values, rows))
     return chain(islice(objects, 1), map(b", ".__add__, objects))
 
 

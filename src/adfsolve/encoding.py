@@ -131,6 +131,9 @@ class VarLayout:
         if len(self._index) != self.n:
             raise EncodingError("duplicate argument names")
         self._row, self._offsets = _row_template(self.names)  # copied by each walk
+        # a row's values; itemgetter() needs an offset, and one offset picks
+        # a bare value, not a tuple
+        self._values = itemgetter(*self._offsets) if self.n else lambda row: ()
         self._tops = frozenset(self.direct_vars)  # built once; every dual_transform memo key holds it
 
     @classmethod
@@ -254,14 +257,12 @@ def _invalid_pair(layout: VarLayout, i: int) -> EncodingError:
 
 
 def _row_reader(layout: VarLayout) -> Callable[[bytearray], Interpretation]:
-    """The interpretation a row of the layout holds, read through one
-    ``itemgetter`` over the value offsets.  The row is read as latin-1,
-    one character per byte, so byte offsets index it and every value
-    byte, being ASCII, is its own character."""
-    if not layout.n:
-        return lambda row: _trusted(layout, ())
-    values = itemgetter(*layout._offsets)
-    # one offset gets a one-character string, which tuple() splits alike
+    """The interpretation a row of the layout holds, read through the
+    layout's value picker.  The row is read as latin-1, one character per
+    byte, so byte offsets index it and every value byte, being ASCII, is
+    its own character."""
+    values = layout._values
+    # one offset picks a one-character string, which tuple() splits alike
     return lambda row: _trusted(layout, tuple(values(row.decode("latin-1"))))
 
 

@@ -1,12 +1,12 @@
 """Counting, enumeration, and exactly-uniform sampling of solution sets.
 
-All three answers are read off one table of exact integer model counts
-per node, built by ``BddManager.model_counts`` over the set's levels, so
+All three answers are read off the linked entries of exact integer model
+counts that ``BddManager.model_counts`` returns over the set's levels, so
 counts stay correct beyond 64 bits and every sample is drawn from the
 exact uniform distribution over the set (no floating-point weights
-anywhere).  Enumeration and sampling walk the levels in order over that
-table; a level whose rank no node on the path carries is skipped by the
-diagram.  Only the engine reads its node store.
+anywhere).  Enumeration and sampling walk the levels in order from the
+root's entry, stepping to a child's entry; a level whose rank no entry
+on the path carries is skipped by the diagram.  No node id reaches them.
 
 The walkers write each solution into one reused *row*, a copy of the
 layout's row template from ``encoding``, which spells the listing line
@@ -16,7 +16,7 @@ level in the order.  The command line writes the rows as they are; the
 public functions wrap each row as an ``Interpretation``.
 
 Output is deterministic: enumeration visits false before true at every
-level, and sampling takes a fixed sequence of draws from
+level, and sampling makes a fixed sequence of calls on
 ``random.Random(seed)`` (one ``getrandbits(1)`` per level a path skips,
 and one ``randrange(total)`` per node it passes, in level order), so a
 seed reproduces its samples exactly.
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
+from itertools import islice
 
 from .encoding import _DIRECT_VALUE, _DUAL_VALUE, _INVALID, Interpretation, _invalid_pair, _row_reader
 from .semantics import SolutionSet
@@ -50,36 +51,32 @@ def _row_plan(solset: SolutionSet) -> tuple[list[int | None], tuple[bytes, bytes
     return [at.get(level) for level in solset.variables()], (values[0:2], values[2:4])
 
 
-def _enumerate_rows(solset: SolutionSet, limit: int | None = None) -> Iterator[bytearray]:
+def _enumerate_rows(solset: SolutionSet) -> Iterator[bytearray]:
     """The enumeration walk: yields one reused row per solution."""
-    if limit is not None and limit <= 0:
-        raise ValueError("limit must be positive")
     layout = solset.layout
     plan, by_top = _row_plan(solset)
-    table = layout.manager.model_counts(solset.bdd, solset.variables())
-    u = solset.bdd.root
-    if u == 0:
+    entry = layout.manager.model_counts(solset.bdd, solset.variables())
+    if not entry[4]:
         return
     m = len(plan)
-    remaining = limit
     row = bytearray(layout._row)
     values = by_top[0]
-    # (index into levels, node reached by setting that level true, values there)
-    stack: list[tuple[int, int, bytes]] = []
+    # (index into levels, entry reached by setting that level true, values there)
+    stack: list[tuple[int, tuple, bytes]] = []
     idx = 0
     while True:
-        # every node but 0 of a reduced diagram reaches 1, so a path that
-        # never steps into 0 ends at 1 once every level is set
+        # a branch with members has a path to the true terminal, so a walk
+        # that only steps into such branches ends there once every level is set
         while idx < m:
-            rank, lo, hi, _, _ = table[u]
+            rank, lo, hi, _, _ = entry
             if rank != idx:
-                lo = hi = u  # level skipped by the diagram: both values lead on
-            if lo:
-                if hi:
+                lo = hi = entry  # level skipped by the diagram: both values lead on
+            if lo[4]:
+                if hi[4]:
                     stack.append((idx, hi, values))
-                u, bit = lo, 0
+                entry, bit = lo, 0
             else:
-                u, bit = hi, 1
+                entry, bit = hi, 1
             offset = plan[idx]
             if offset is None:
                 values = by_top[bit]
@@ -89,13 +86,9 @@ def _enumerate_rows(solset: SolutionSet, limit: int | None = None) -> Iterator[b
                     raise _invalid_pair(layout, layout._offsets.index(offset))
             idx += 1
         yield row
-        if remaining is not None:
-            remaining -= 1
-            if remaining == 0:
-                return
         if not stack:
             return
-        idx, u, values = stack.pop()
+        idx, entry, values = stack.pop()
         offset = plan[idx]
         if offset is None:
             values = by_top[1]
@@ -116,11 +109,13 @@ def enumerate_solutions(solset: SolutionSet, limit: int | None = None) -> Iterat
     it passes onto an explicit stack.  Reaching the last level yields a
     solution; popping an entry sets its level true and descends again.
     Each solution therefore costs the levels below its branch point, and no
-    generator frame per level.  The nodes come from the ``model_counts``
-    table, which raises before the first solution if the set depends on a
-    variable outside its kind.
+    generator frame per level.  The count entries come from
+    ``model_counts``, which raises before the first solution if the set
+    depends on a variable outside its kind.
     """
-    return map(_row_reader(solset.layout), _enumerate_rows(solset, limit))
+    if limit is not None and limit <= 0:
+        raise ValueError("limit must be positive")
+    return islice(map(_row_reader(solset.layout), _enumerate_rows(solset)), limit)
 
 
 def _sample_rows(solset: SolutionSet, n: int, seed: int) -> Iterator[bytearray]:
@@ -131,34 +126,24 @@ def _sample_rows(solset: SolutionSet, n: int, seed: int) -> Iterator[bytearray]:
         raise ValueError("cannot sample from an empty solution set")
     layout = solset.layout
     plan, by_top = _row_plan(solset)
-    table = layout.manager.model_counts(solset.bdd, solset.variables())
-    draws = {
-        u: (lo, hi, table[lo][0], table[hi][0], weight_lo, total, total.bit_length())
-        for u, (_, lo, hi, weight_lo, total) in table.items()
-        if u > 1
-    }
-    root = solset.bdd.root
+    root = layout.manager.model_counts(solset.bdd, solset.variables())
 
     getrandbits = random.Random(seed).getrandbits
     row = bytearray(layout._row)
     values = by_top[0]
     for _ in range(n):
-        u, rank = root, table[root][0]
+        rank, lo, hi, weight_lo, total = root
         for idx, offset in enumerate(plan):
             if idx != rank:
                 bit = getrandbits(1)  # level skipped by the diagram
             else:
-                lo, hi, rank_lo, rank_hi, weight_lo, total, bits = draws[u]
-                # randrange(total), as CPython draws it: rejection on bits-bit words
+                # randrange(total), as CPython computes it: rejection on bit-length words
+                bits = total.bit_length()
                 r = getrandbits(bits)
                 while r >= total:
                     r = getrandbits(bits)
-                if r < weight_lo:
-                    bit = 0
-                    u, rank = lo, rank_lo
-                else:
-                    bit = 1
-                    u, rank = hi, rank_hi
+                bit = r >= weight_lo
+                rank, lo, hi, weight_lo, total = hi if bit else lo
             if offset is None:
                 values = by_top[bit]
             else:
@@ -175,7 +160,7 @@ def sample_uniform(solset: SolutionSet, n: int, seed: int) -> list[Interpretatio
     with probability proportional to the exact model counts below, with a
     fair coin for every level the path skips.
 
-    The draws from ``random.Random(seed)`` are fixed, which is what makes a
+    The calls on ``random.Random(seed)`` are fixed, which is what makes a
     sequence reproducible: per sample and in level order, one
     ``getrandbits(1)`` for each level the path skips, and at each node one
     draw equal to ``randrange(total)``, where ``total`` is the node's model
@@ -184,8 +169,8 @@ def sample_uniform(solset: SolutionSet, n: int, seed: int) -> list[Interpretatio
     node's draw followed by the coins for the levels it skips.  The same
     seed over the same diagram reproduces the same sequence.
 
-    Each node's draw entry is built once from the ``model_counts`` table:
-    its children, their ranks, the false-branch weight, the total and its
-    bit length.
+    Each draw reads the linked ``model_counts`` entries as it descends:
+    a node's entry holds its rank, its children's entries, the
+    false-branch weight and the total, so no second table is built.
     """
     return list(map(_row_reader(solset.layout), _sample_rows(solset, n, seed)))

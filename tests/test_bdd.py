@@ -564,11 +564,20 @@ def test_counting_a_diagram_as_deep_as_its_variable_order():
 
 
 def test_only_the_engine_reads_its_node_store():
-    # every other module goes through manager methods and Bdd handles
+    # every other module goes through manager methods and Bdd handles, and
+    # reads counts off linked entries; only the dual lift hands the engine
+    # a root id back, for its rebuild pass
     package = Path(adfsolve.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     readers = [
-        path.name
-        for path in sorted(package.glob("*.py"))
-        if path.name != "bdd.py" and re.search(r"\._nodes|\._cache", path.read_text())
+        name
+        for name, text in sources.items()
+        if name != "bdd.py" and re.search(r"\._nodes|\._cache", text)
     ]
     assert readers == []
+    holders = [
+        name
+        for name, text in sources.items()
+        if name not in ("bdd.py", "encoding.py") and re.search(r"\.root\b", text)
+    ]
+    assert holders == []

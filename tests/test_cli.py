@@ -446,9 +446,10 @@ def test_cli_listings_equal_the_library_listings(capsys, tmp_path):
 
     rng = random.Random(229)
     path = tmp_path / "model.adf"
-    for index in range(200):
+    for index in range(201):
         make = random_adf if index % 2 else random_adf_with_free_inputs
-        path.write_text(write_adf(make(rng, rng.randint(1, 7))))
+        # the last model has no argument: each semantics lists one empty interpretation
+        path.write_text(write_adf(make(rng, rng.randint(1, 7))) if index < 200 else "")
         adf = parse_adf(path.read_text())
         for sem in SEMANTICS:
             ss = solve(adf, sem)

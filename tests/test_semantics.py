@@ -261,6 +261,19 @@ def test_long_chain_peels():
     assert time.perf_counter() - started < 60.0
 
 
+def test_readers_walk_a_deep_chain():
+    # com's count entries on this chain link 40,000 deep: counting, the
+    # listing and the draws must walk them, and free them, without recursing
+    adf = alternating_chain(20000)
+    for sem, members in (("com", 3), ("2v", 2)):
+        ss = solve(adf, sem)
+        assert count(ss) == members
+        listed = [i.values for i in enumerate_solutions(ss)]
+        assert len(set(listed)) == len(listed) == members
+        drawn = [d.values for d in sample_uniform(ss, 3, 1)]
+        assert len(drawn) == 3 and set(drawn) <= set(listed)
+
+
 def test_grounded_cube_on_long_chain_stays_linear():
     n = 1000
     grd = solve(alternating_chain(n), "grd")

@@ -125,38 +125,45 @@ def golden_models():
 
 
 def skipped_levels(ss):
-    """Levels skipped above the root, and on edges between decision nodes."""
-    table = ss.layout.manager.model_counts(ss.bdd, ss.variables())
+    """Levels skipped above the root, and on edges between decision entries,
+    those whose rank is below the number of levels."""
+    m = len(ss.variables())
+    root = ss.layout.manager.model_counts(ss.bdd, ss.variables())
+    decisions, stack = {}, [root] if root[0] < m else []
+    while stack:  # keep each shared entry once, by identity: its hash would hash all below it
+        entry = stack.pop()
+        if id(entry) not in decisions:
+            decisions[id(entry)] = entry
+            stack.extend(child for child in entry[1:3] if child[0] < m)
     between = sum(
-        table[child][0] - rank - 1
-        for u, (rank, lo, hi, _, _) in table.items()
-        if u > 1
+        child[0] - rank - 1
+        for rank, lo, hi, _, _ in decisions.values()
         for child in (lo, hi)
-        if child > 1
+        if child[0] < m
     )
-    return table[ss.bdd.root][0], between
+    return root[0], between
 
 
 def reference_samples(ss, n, seed):
-    """The draw contract, walked level by level on the count table: from one
-    ``random.Random(seed)``, one ``getrandbits(1)`` per skipped level and one
-    ``randrange(total)`` per node, choosing false below ``weight_lo``."""
+    """The draw contract, walked level by level on the count entries: from
+    one ``random.Random(seed)``, one ``getrandbits(1)`` per skipped level and
+    one ``randrange(total)`` per node, choosing false below ``weight_lo``."""
     levels = ss.variables()
-    table = ss.layout.manager.model_counts(ss.bdd, levels)
+    root = ss.layout.manager.model_counts(ss.bdd, levels)
     rng = random.Random(seed)
     out = []
     for _ in range(n):
         valuation = [0] * ss.layout.manager.num_vars
-        u = ss.bdd.root
+        entry = root
         for idx, level in enumerate(levels):
-            rank, lo, hi, weight_lo, total = table[u]
+            rank, lo, hi, weight_lo, total = entry
             if rank != idx:
                 valuation[level] = rng.getrandbits(1)
             elif rng.randrange(total) < weight_lo:
-                u = lo
+                entry = lo
             else:
                 valuation[level] = 1
-                u = hi
+                entry = hi
         out.append(decode(valuation, ss.layout, ss.kind).values)
     return out
 
