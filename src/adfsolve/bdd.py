@@ -11,15 +11,14 @@ The engine has three binary operators, conjunction, disjunction and
 exclusive or; negation is exclusive or with true, and implication and
 equivalence are derived from them.  One rebuild pass serves existential
 quantification, the monotone upward closure of a set under bitwise
-inclusion over a given group of variables, and the dual lift behind
-``encoding.dual_transform``.  The minimal members of a set under that
-inclusion are built on the closure in one further pass, and model
-counting is one depth-first walk that links a count entry per node; the
-readers of a solution set walk those entries, never node ids.
-Constructions over a level set are manager methods, queries on one
-diagram ``Bdd`` methods.  A single memo, keyed by an opcode and operand
-ids, serves the three operators and the rebuild pass; ``minimal`` keeps
-a per-call memo of its own.
+inclusion over a given group of variables, the minimal members of a set
+under that inclusion, and the dual lift behind
+``encoding.dual_transform``.  Model counting is one depth-first walk that
+links a count entry per node; the readers of a solution set walk those
+entries, never node ids.  Constructions over a level set are manager
+methods, queries on one diagram ``Bdd`` methods.  A single memo, keyed by
+an opcode and operand ids, serves the three operators and every rule of
+the rebuild pass.
 
 Memory is bounded at safe points, the steps of ``conjoin``'s fold.  The
 memo lives one fold step: it is emptied after each step, so it holds only
@@ -49,8 +48,8 @@ class BddError(Exception):
     """Invalid use of the diagram engine (mixed managers, bad supports)."""
 
 
-# opcodes for the memo; _EXISTS, _UP and _DUAL are the rebuild pass's rules
-_AND, _OR, _XOR, _EXISTS, _UP, _DUAL = range(6)
+# opcodes for the memo; _EXISTS, _UP, _DUAL and _MIN are the rebuild pass's rules
+_AND, _OR, _XOR, _EXISTS, _UP, _DUAL, _MIN = range(7)
 
 # a collection's mark bytes -> 1 where a slot is free
 _UNMARKED = bytes.maketrans(b"\x00\x01", b"\x01\x00")
@@ -224,7 +223,8 @@ class BddManager:
 
     def _rebuild(self, op: int, a: int, levels: frozenset[int], top: int) -> int:
         # at a node on a variable v in ``levels``, with rebuilt branches l
-        # and h: _EXISTS returns l | h, _UP takes l | h as high branch, and
+        # and h: _EXISTS returns l | h, _UP takes l | h as high branch, _MIN
+        # takes h minus the upward closure of the original low child, and
         # _DUAL maps the pair (v, v + 1) to (0,0) 0, (0,1) l, (1,0) h, (1,1) l | h
         if a < 2:
             return a
@@ -237,16 +237,34 @@ class BddManager:
             return cached
         l = self._rebuild(op, lo, levels, top)
         h = self._rebuild(op, hi, levels, top)
+        if op == _MIN:  # the levels in ``levels`` that an edge skips read 0
+            l = self._forced_zero(l, v, levels, top)
+            h = self._forced_zero(h, v, levels, top)
         if v not in levels:
             result = self._mk(v, l, h)
         elif op == _EXISTS:
             result = self._apply(_OR, l, h)
         elif op == _UP:
             result = self._mk(v, l, self._apply(_OR, l, h))
+        elif op == _MIN:
+            # h minus up(lo), as h ^ (h & closed): it never negates the closure
+            closed = self._rebuild(_UP, lo, levels, top)
+            result = self._mk(v, l, self._apply(_XOR, h, self._apply(_AND, h, closed)))
         else:
             result = self._mk(v, self._mk(v + 1, 0, l), self._mk(v + 1, h, self._apply(_OR, l, h)))
         self._cache[key] = result
         return result
+
+    def _forced_zero(self, r: int, v: int, levels: frozenset[int], top: int) -> int:
+        # r with each level of ``levels`` strictly between v and r's level
+        # set to 0; r's level stands for that of the child r was built from,
+        # as a nonzero minimal set depends on each of its ``levels``
+        if r == 0:
+            return 0
+        for w in range(min(self._nodes[r][0], top + 1) - 1, v, -1):
+            if w in levels:
+                r = self._mk(w, r, 0)
+        return r
 
     # -- counting and inspection -----------------------------------------
 
@@ -356,40 +374,20 @@ class BddManager:
 
         A member is dropped when another member agrees with it outside
         ``over`` and has its true ``over`` positions strictly contained in
-        its own.  One memoized pass keyed by (node, index of the next
-        ``over`` level) builds every assignment strictly above a member:
-        where an ``over`` variable is true the strict step may be taken,
-        and below that step the upward closure of the low branch suffices.
+        its own.  The rebuild pass applies Rauzy's recursion bottom-up on
+        ``f``.  At a node on a variable v in ``over``, with branches lo and
+        hi, the set is ``mk(v, min(lo), min(hi) & ~up(lo))``: a member with
+        v true lies above one with v false exactly when it is in the upward
+        closure of lo.  At any other node it is ``mk(v, min(lo), min(hi))``.
+        An ``over`` level that a path skips, above the root too, admits
+        both values, and the member with 1 there lies above the one with 0,
+        so it reads 0.
         """
         self._claim(f)
-        over_set = self._levels(over)
-        levels = sorted(over_set)
+        levels = self._levels(over)
         top = max(levels, default=-1)
-        nodes = self._nodes
-        memo: dict[tuple[int, int], int] = {}
-
-        def up(u: int) -> int:
-            return self._rebuild(_UP, u, over_set, top)
-
-        def above(u: int, j: int) -> int:
-            # assignments strictly above a member of u over levels[j:]
-            key = (u, j)
-            result = memo.get(key)
-            if result is not None:
-                return result
-            v, lo, hi = nodes[u]
-            if j < len(levels) and levels[j] < v:
-                result = self._mk(levels[j], above(u, j + 1), up(u))
-            elif u < 2:
-                result = 0
-            elif v in over_set:
-                result = self._mk(v, above(lo, j + 1), self._apply(_OR, above(hi, j + 1), up(lo)))
-            else:
-                result = self._mk(v, above(lo, j), above(hi, j))
-            memo[key] = result
-            return result
-
-        return Bdd(self, self._apply(_AND, f.root, self._apply(_XOR, above(f.root, 0), 1)))
+        found = self._rebuild(_MIN, f.root, levels, top)
+        return Bdd(self, self._forced_zero(found, -1, levels, top))
 
     def upward_closure(self, f: "Bdd", over: Iterable[int]) -> "Bdd":
         """Close the satisfying set of ``f`` upward under bitwise inclusion.

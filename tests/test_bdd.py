@@ -345,12 +345,13 @@ def test_upward_closure_rejects_out_of_range_level():
                 method(f, [1, level])
 
 
-def test_exists_and_upward_closure_share_one_memo():
-    # both run one memoized pass over the same nodes and level sets, in
-    # either order, so each must key its entries apart from the other's
+def test_the_rebuild_rules_share_one_memo():
+    # all three run one memoized pass over the same nodes and level sets, in
+    # any order, and minimal runs the upward closure inside its own pass, so
+    # each must key its entries apart from the others'
     rng = random.Random(43)
     man = BddManager(7)
-    for trial in range(60):
+    for _ in range(60):
         expr = random_expr(rng, 7, 5)
         f = build_bdd(man, expr)
         levels = rng.sample(range(7), rng.randint(1, 7))
@@ -359,9 +360,12 @@ def test_exists_and_upward_closure_share_one_memo():
         sat = [q for q in range(128) if table[q]]
         projected = [any((p ^ q) & ~mask == 0 for q in sat) for p in range(128)]
         closed = [any((p ^ q) & ~mask == 0 and q & p == q for q in sat) for p in range(128)]
-        calls = [(man.exists, projected), (man.upward_closure, closed)]
-        if trial % 2:
-            calls.reverse()
+        least = [
+            table[p] and not any(q != p and (p ^ q) & ~mask == 0 and q & p == q for q in sat)
+            for p in range(128)
+        ]
+        calls = [(man.exists, projected), (man.upward_closure, closed), (man.minimal, least)]
+        rng.shuffle(calls)
         for call, expected in calls + calls:
             assert table_of_bdd(call(f, levels), 7) == expected
     man.validate()

@@ -135,8 +135,8 @@ def test_count_on_generated_free_input_network(capsys, tmp_path):
     ids=["count", "enumerate", "sample", "json-enumerate"],
 )
 def test_only_a_printed_count_is_counted(capsys, monkeypatch, example_path, flags, tables):
-    # a listing reads one model_counts table; counting builds another, so a
-    # query builds it twice only when it prints the count as well
+    # a listing and a printed count each ask model_counts for the root's
+    # linked entry, so a query asks twice only when it prints the count as well
     built = 0
     model_counts = BddManager.model_counts
 

@@ -288,6 +288,20 @@ def test_stable_on_long_chain_stays_linear():
     assert len(stb.layout.manager._nodes) < 100 * n
 
 
+def test_preferred_on_long_chain_stays_linear():
+    # the minimal members are built on the com set itself, so prf adds about
+    # two occupied store slots per argument over what com leaves
+    n = 1000
+    adf = alternating_chain(n)
+    layout = VarLayout.for_adf(adf)
+    com = complete(adf, layout)
+    man = layout.manager
+    before = len(man._nodes) - len(man._free)
+    prf = preferred(com, layout)
+    assert count(prf) == 2
+    assert len(man._nodes) - len(man._free) - before < 4 * n
+
+
 def attack_tail_union(copies):
     """``copies`` of the 14 ``attack_with_tail`` components (tails 0-6, both
     kinds), renamed apart into one disjoint union; returns it and its parts."""
