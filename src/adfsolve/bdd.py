@@ -21,17 +21,20 @@ an opcode and operand ids, serves the three operators and every rule of
 the rebuild pass.
 
 Memory is bounded at safe points, the steps of ``conjoin``'s fold.  The
-memo lives one fold step: it is emptied after each step, so it holds only
-the work of the conjunction in progress.  A node lives while a ``Bdd``
-handle, the fold's accumulator or a clause still waiting in the fold
-reaches it.  Each handle counts itself in the manager while it exists.
-Once the live store has doubled since the last collection (a new
-manager counts as collected at size 0), a fold step marks what those
-roots reach and frees the rest: the unique table is refilled with the
-marked nodes, freed ids go on a free list that later nodes reuse, and
-the memo is emptied, so no reused id answers through a stale entry.
-Nodes never move, so every handle stays valid.  Because ids are reused,
-a child's id may exceed its parent's, so no pass relies on id order.
+memo lives one fold step: it is emptied after each step, so it holds
+only the work of the conjunction in progress.  ``exists``,
+``upward_closure`` and ``minimal`` empty it when they return, so a
+rebuild pass leaves no memo behind either; the dual lift leaves its memo
+to the fold after it.  A node lives while a ``Bdd`` handle, the fold's
+accumulator or a clause still waiting in the fold reaches it.  Each
+handle counts itself in the manager while it exists.  Once the live
+store has doubled since the last collection (a new manager counts as
+collected at size 0), a fold step marks what those roots reach and frees
+the rest: the unique table is refilled with the marked nodes, freed ids
+go on a free list that later nodes reuse, and the memo is emptied, so no
+reused id answers through a stale entry.  Nodes never move, so every
+handle stays valid.  Because ids are reused, a child's id may exceed its
+parent's, so no pass relies on id order.
 
 A manager and every diagram it owns belong to a single thread; distinct
 managers are fully independent.
@@ -219,7 +222,9 @@ class BddManager:
         """Existentially quantify the given variable levels out of ``f``."""
         self._claim(f)
         levels = self._levels(variables)
-        return Bdd(self, self._rebuild(_EXISTS, f.root, levels, max(levels, default=-1)))
+        found = Bdd(self, self._rebuild(_EXISTS, f.root, levels, max(levels, default=-1)))
+        self._cache.clear()
+        return found
 
     def _rebuild(self, op: int, a: int, levels: frozenset[int], top: int) -> int:
         # at a node on a variable v in ``levels``, with rebuilt branches l
@@ -386,8 +391,10 @@ class BddManager:
         self._claim(f)
         levels = self._levels(over)
         top = max(levels, default=-1)
-        found = self._rebuild(_MIN, f.root, levels, top)
-        return Bdd(self, self._forced_zero(found, -1, levels, top))
+        root = self._rebuild(_MIN, f.root, levels, top)
+        found = Bdd(self, self._forced_zero(root, -1, levels, top))
+        self._cache.clear()
+        return found
 
     def upward_closure(self, f: "Bdd", over: Iterable[int]) -> "Bdd":
         """Close the satisfying set of ``f`` upward under bitwise inclusion.
@@ -399,7 +406,9 @@ class BddManager:
         """
         self._claim(f)
         levels = self._levels(over)
-        return Bdd(self, self._rebuild(_UP, f.root, levels, max(levels, default=-1)))
+        found = Bdd(self, self._rebuild(_UP, f.root, levels, max(levels, default=-1)))
+        self._cache.clear()
+        return found
 
     def conjoin(self, clauses: Iterable["Bdd"]) -> "Bdd":
         """Conjoin many diagrams, deepest top variable first.

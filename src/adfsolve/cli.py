@@ -14,6 +14,12 @@ alone maps exceptions to exit codes: 0 success, 1 input or usage error,
 recursion limit, or memory exhausted).  A reader that closes stdout
 early (``| head``) ends the run with exit code 1 and no traceback.
 
+A query that prints only a count, ``--count`` or the default action, with
+``--json`` or ``--oracle`` or without, is solved in the layout that
+``encoding.fold_layout`` picks: the declared order or the reversed one.
+Listings and samples keep the declared layout, whose variable order is
+their order, so no output changes with the choice.
+
 Start-up is part of every query's cost, so the module imports only what
 every run needs: ``json`` is imported for ``--json`` alone and the
 brute-force ``oracle`` for ``--oracle`` alone.
@@ -56,6 +62,15 @@ CHUNK_BYTES = 16384
 
 class InputError(Exception):
     """Anything wrong with the user's input or flags, or a failed oracle check."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as other input errors
+    do, instead of argparse's 2, which is kept for resource limits."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
 
 
 def _read_model(path: str, input_format: str | None) -> fmt.Adf:
@@ -109,10 +124,12 @@ def _solve(args: argparse.Namespace) -> None:
     adf = _read_model(args.input, args.format)
 
     started = time.perf_counter()
-    solset = semantics.solve(adf, args.sem)
+    listing = args.enumerate or args.sample is not None
+    # a count is the same in every layout; a listing's order follows its layout
+    layout = None if listing else encoding.fold_layout(adf)
+    solset = semantics.solve(adf, args.sem, layout)
     if args.oracle:
         _oracle_check(adf, solset, args.sem)
-    listing = args.enumerate or args.sample is not None
     total = solutions.count(solset) if args.json or not listing else None
     head = tail = ""  # the JSON envelope is written around a listing, or after a count
     if args.json:
@@ -174,7 +191,7 @@ def _convert(args: argparse.Namespace) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adfsolve",
         description="Symbolic solver for abstract dialectical frameworks and Boolean networks.",
     )
@@ -219,8 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         args.handler(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
     except BrokenPipeError:

@@ -1,12 +1,14 @@
 """Variable layout, condition compilation, and the dual-variable transform.
 
-Each argument ``i`` owns two adjacent decision variables, a *dual* pair
-``(top, bot)`` encoding a three-valued assignment as ``(1,0) = true``,
-``(0,1) = false`` and ``(1,1) = unknown``; ``(0,0)`` is invalid and ruled
-out by the validity constraint ``top | bot`` per argument.  A two-valued
-interpretation is a valid pair with ``bot = ~top``, so two-valued sets
-(the ``direct`` kind) range over the top variables alone: an argument is
-true when its top variable is.  Keeping the pairs interleaved keeps every
+Each argument ``i`` owns two adjacent decision variables, at the levels
+its position in the layout gives: a *dual* pair ``(top, bot)`` encoding a
+three-valued assignment as ``(1,0) = true``, ``(0,1) = false`` and
+``(1,1) = unknown``; ``(0,0)`` is invalid and ruled out by the validity
+constraint ``top | bot`` per argument.  The layout is the declaration
+order, or for counting the reversed order when ``fold_layout`` finds it
+cheaper to conjoin.  A two-valued interpretation is a valid pair with
+``bot = ~top``, so two-valued sets (the ``direct`` kind) range over the
+top variables alone: an argument is true when its top variable is.  Keeping the pairs interleaved keeps every
 per-argument constraint local in the variable order.
 
 The dual transform turns a function over the top variables, read as
@@ -32,11 +34,11 @@ walkers write one value byte per argument.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from operator import itemgetter
 
 from .bdd import _DUAL, Bdd, BddManager
-from .formula import Adf, And, Const, Formula, Iff, Imp, Not, Or, Var, _Record, _set
+from .formula import Adf, And, Const, Formula, Iff, Imp, Not, Or, Var, _Record, _set, variables
 
 
 class EncodingError(Exception):
@@ -116,16 +118,23 @@ def _trusted(layout: VarLayout, values: tuple[str, ...]) -> Interpretation:
 class VarLayout:
     """Interleaved per-argument variable pairs in one manager.
 
-    Argument ``i`` occupies levels ``top(i) = 2i`` and ``bot(i) = 2i + 1``;
-    the manager therefore has ``2 n`` variables.  Every reader goes through
-    ``top`` and ``bot``, so only they place an argument; the dual transform
-    and the walkers need each bot level right after its top one.
-    Two-valued sets range over ``direct_vars``, the top levels.
+    Argument ``i`` sits at position ``positions[i]`` of the variable order,
+    its declaration index unless ``positions`` says otherwise, and occupies
+    levels ``top(i) = 2 positions[i]`` and ``bot(i) = top(i) + 1``; the
+    manager therefore has ``2 n`` variables.  Names, rows and
+    interpretations stay in declaration order whatever the positions:
+    every reader goes through ``top`` and ``bot``, so only they place an
+    argument; the dual transform and the walkers need each bot level right
+    after its top one.  Two-valued sets range over ``direct_vars``, the
+    top levels.
     """
 
-    def __init__(self, names: tuple[str, ...] | list[str]):
+    def __init__(self, names: tuple[str, ...] | list[str], positions: Sequence[int] | None = None):
         self.names = tuple(names)
         self.n = len(self.names)
+        self.positions = tuple(range(self.n) if positions is None else positions)
+        if sorted(self.positions) != list(range(self.n)):
+            raise EncodingError("positions must order the arguments 0..n-1")
         self.manager = BddManager(2 * self.n)
         self._index = {name: i for i, name in enumerate(self.names)}
         if len(self._index) != self.n:
@@ -147,10 +156,10 @@ class VarLayout:
             raise EncodingError(f"unknown argument {name!r}") from None
 
     def top(self, i: int) -> int:
-        return 2 * i
+        return 2 * self.positions[i]
 
     def bot(self, i: int) -> int:
-        return 2 * i + 1
+        return 2 * self.positions[i] + 1
 
     @property
     def direct_vars(self) -> list[int]:
@@ -159,6 +168,52 @@ class VarLayout:
     @property
     def dual_vars(self) -> list[int]:
         return list(range(2 * self.n))
+
+
+def fold_layout(adf: Adf) -> VarLayout:
+    """The declared layout or the reversed one, whichever the fold prefers.
+
+    ``conjoin`` folds the per-argument clauses from the deepest top level
+    up.  Argument ``i``'s clause reads its *support*, ``i`` and the
+    arguments its condition names, and an argument is *open* once a folded
+    clause names it but its own clause is not folded yet: the accumulator
+    then carries it unconstrained.  Declared feed-forward, as grids and
+    chains are, the fold opens a whole row of inputs before it reaches
+    them; reversed, it opens none.  Of the two orders this returns the one
+    with the smaller open profile (most arguments open at once, then their
+    sum over the steps); a tie keeps the declared order.  Counts do not
+    depend on the layout, listings do, so only counting queries use it.
+    The cost is one sort of the arguments and one pass over the supports.
+    """
+    index = {name: i for i, name in enumerate(adf.arguments)}
+    supports = [
+        [i, *map(index.__getitem__, variables(condition))]
+        for i, condition in enumerate(adf.conditions)
+    ]
+    reverse = range(adf.n - 1, -1, -1)
+    if _open_profile(supports, reverse) < _open_profile(supports, range(adf.n)):
+        return VarLayout(adf.arguments, reverse)
+    return VarLayout(adf.arguments)
+
+
+def _open_profile(supports: list[list[int]], positions: Sequence[int]) -> tuple[int, int]:
+    """The most arguments open at once and their sum over the fold's steps,
+    the clauses folded as ``conjoin`` orders them: by the smallest position
+    in their support, largest first, ties in declaration order."""
+    top = [min(map(positions.__getitem__, support)) for support in supports]
+    order = sorted(range(len(supports)), key=top.__getitem__, reverse=True)
+    named = bytearray(len(supports))
+    now = peak = total = 0
+    for i in order:
+        if named[i]:  # its clause closes it
+            now -= 1
+        for j in supports[i]:
+            if not named[j]:
+                named[j] = 1
+                now += j != i
+        peak = max(peak, now)
+        total += now
+    return peak, total
 
 
 class GammaPair(_Record):

@@ -207,7 +207,8 @@ def stable(
         not_star.append(~star)
     clauses.append(~man.conjoin(not_star))
     unstable = man.exists(man.conjoin(clauses), map(layout.bot, range(layout.n)))
-    return SolutionSet(tv & ~unstable, layout, "direct", iterations=1)
+    # a fold, so that the last step leaves no memo behind either
+    return SolutionSet(man.conjoin([tv, ~unstable]), layout, "direct", iterations=1)
 
 
 def restrict_free_inputs(solset: SolutionSet, adf: Adf, mode: str) -> SolutionSet:
@@ -247,7 +248,13 @@ def solve(
     semantics: str,
     layout: VarLayout | None = None,
 ) -> SolutionSet:
-    """Compute the full solution set of one semantics for one model."""
+    """Compute the full solution set of one semantics for one model.
+
+    ``layout`` defaults to the declared one.  Every layout gives the same
+    set, read back in declaration order, but not the same diagram: the
+    fold's cost and the order of a listing follow the layout's variable
+    order.  ``encoding.fold_layout`` picks a cheaper one for counting.
+    """
     if layout is None:
         layout = VarLayout.for_adf(adf)
     if semantics == "2v":

@@ -1,8 +1,14 @@
 """Shared model generators for randomized and structured tests."""
 
 import random
+import sys
+from pathlib import Path
 
 from adfsolve.formula import Adf, And, Const, Iff, Imp, Not, Or, Var, Xor
+
+# the benchmark's generators build its peel and free-input unions
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from generators import free_adf, peel_adf  # noqa: E402,F401
 
 EXAMPLE_ADF = "s(a). s(b). s(c). ac(a,c(v)). ac(b,or(neg(a),c)). ac(c,b)."
 EXAMPLE_BNET = "targets, factors\na, 1\nb, !a | c\nc, b\n"

@@ -585,3 +585,19 @@ def test_only_the_engine_reads_its_node_store():
         if name not in ("bdd.py", "encoding.py") and re.search(r"\.root\b", text)
     ]
     assert holders == []
+
+
+def test_public_rebuild_passes_leave_no_memo():
+    # each empties the memo when it returns; only the dual lift leaves its
+    # memo to the fold that follows it
+    man = BddManager(6)
+    f = (man.var(0) & man.var(3)) | (man.var(1) ^ man.var(4)) | (man.var(2) & ~man.var(5))
+    passes = [
+        lambda: man.exists(f, [1, 3]),
+        lambda: man.upward_closure(f, [0, 2, 4]),
+        lambda: man.minimal(f, [0, 1, 2, 3, 4, 5]),
+    ]
+    for rebuild in passes:
+        assert (f & man.var(5)).root > 1 and man._cache  # a memo to start from
+        assert not rebuild().is_false
+        assert man._cache == {}

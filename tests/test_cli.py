@@ -576,6 +576,70 @@ def test_oracle_mismatch_exit_code(capsys, monkeypatch, example_path, flags):
     )
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--sem", "xyz"],
+        ["--sem", "adm", "--count", "--enumerate"],
+        ["--sem", "adm", "--sample", "abc"],
+    ],
+    ids=["unknown-semantics", "two-actions", "bad-sample-count"],
+)
+def test_usage_errors_exit_with_input_code(capsys, example_path, flags):
+    # 2 is kept for resource limits
+    code, out, err = run_cli(capsys, "solve", *flags, example_path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: adfsolve solve ")
+    assert err.splitlines()[-1].startswith("error: argument --")
+    assert "Traceback" not in err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["solve", "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: adfsolve solve ")
+
+
+FEED_FORWARD = "s(a). s(b). s(c). ac(a,a). ac(b,a). ac(c,neg(b))."
+
+
+@pytest.mark.parametrize(
+    "flags, reversed_layout",
+    [
+        (["--count"], True),
+        ([], True),
+        (["--json"], True),
+        (["--count", "--oracle"], True),
+        (["--enumerate"], False),
+        (["--enumerate", "--json"], False),
+        (["--sample", "2"], False),
+    ],
+    ids=["count", "default", "json", "oracle", "enumerate", "enumerate-json", "sample"],
+)
+def test_only_counts_are_solved_in_the_fold_layout(
+    capsys, monkeypatch, tmp_path, flags, reversed_layout
+):
+    # this model is declared feed-forward, so the fold prefers it reversed;
+    # listings keep the declared order, which is their order
+    path = tmp_path / "forward.adf"
+    path.write_text(FEED_FORWARD)
+    layouts = []
+
+    def recording_solve(adf, sem, layout=None):
+        solset = solve(adf, sem, layout)
+        layouts.append(solset.layout.positions)
+        return solset
+
+    monkeypatch.setattr("adfsolve.semantics.solve", recording_solve)
+    code, out, _ = run_cli(capsys, "solve", "--sem", "com", *flags, str(path))
+    assert code == 0
+    assert layouts == [(2, 1, 0) if reversed_layout else (0, 1, 2)]
+    if not flags or flags[0] == "--count":
+        assert out == "3\n"
+
+
 def test_missing_file_is_read_before_its_format_is_detected(capsys, tmp_path):
     missing = str(tmp_path / "absent.txt")
     code, out, err = run_cli(capsys, "solve", "--sem", "adm", missing)
@@ -652,7 +716,8 @@ def test_json_listing_streams_under_a_memory_cap(tmp_path):
 
 
 def test_wide_grid_completes_under_a_memory_cap(tmp_path):
-    # without collection, complete on this grid peaks near 490 MB
+    # a count folds this grid reversed, in about 11 K store slots; in the
+    # declared order, without collection, it peaks near 490 MB
     path = tmp_path / "grid25x10.adf"
     path.write_text(write_adf(grid_adf(25, 10, seed=1)))
     result = run_capped(["solve", "--sem", "com", str(path)], 128 * MIB, capture_output=True)
@@ -661,9 +726,29 @@ def test_wide_grid_completes_under_a_memory_cap(tmp_path):
     assert result.stderr == b""
 
 
+def test_declared_fold_of_a_wide_grid_lists_under_a_memory_cap(tmp_path):
+    # a listing keeps the declared layout, whose fold on this grid peaks
+    # near 490 MB without collection; the count above folds in reverse
+    adf = grid_adf(25, 10, seed=1)
+    path = tmp_path / "grid25x10.adf"
+    path.write_text(write_adf(adf))
+    args = ["solve", "--sem", "com", "--enumerate", "--limit", "1", str(path)]
+    result = run_capped(args, 128 * MIB, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    (line,) = result.stdout.splitlines()
+    names, values = zip(*(pair.split(":") for pair in line.split(" ")))
+    assert names == adf.arguments
+    # a complete interpretation is a fixed point of the operator
+    interp = encoding.Interpretation(names, values)
+    layout = encoding.VarLayout.for_adf(adf)
+    assert encoding.apply_gamma(encoding.gamma_pairs(adf, layout), interp, layout) == interp
+
+
 def test_memory_exhaustion_exits_with_limit_code(tmp_path):
     # b_i copies a_i: with every a above every b, the two-valued set
-    # needs 2**22 nodes, far past the cap
+    # needs 2**22 nodes, far past the cap; declared or reversed, every b
+    # stays on one side of every a
     n = 22
     path = tmp_path / "copies.adf"
     statements = [f"s(a{i})." for i in range(n)] + [f"s(b{i})." for i in range(n)]

@@ -13,6 +13,7 @@ from adfsolve.encoding import (
     decode,
     dual_transform,
     encode_interpretation,
+    fold_layout,
     formula_to_bdd,
     gamma_pairs,
     validity_constraint,
@@ -33,6 +34,30 @@ def test_layout_is_interleaved():
     assert layout.direct_vars == [0, 2, 4]
     assert layout.dual_vars == list(range(6))
     assert not hasattr(layout, "direct")
+
+
+def test_positions_place_the_pairs():
+    # argument i at position positions[i]; the levels stay interleaved
+    layout = VarLayout(("a", "b", "c"), (2, 0, 1))
+    assert [(layout.top(i), layout.bot(i)) for i in range(3)] == [(4, 5), (0, 1), (2, 3)]
+    assert layout.direct_vars == [0, 2, 4]
+    assert layout.names == ("a", "b", "c")
+    for positions in [(0, 0, 1), (1, 2, 3), (0, 1)]:
+        with pytest.raises(EncodingError, match="positions"):
+            VarLayout(("a", "b", "c"), positions)
+
+
+def test_fold_layout_reverses_a_feed_forward_model():
+    # declared feed-forward, the fold opens b before it reaches b's clause;
+    # reversed, every clause comes after those of the arguments it names
+    forward = parse_adf("s(a). s(b). s(c). ac(a,a). ac(b,a). ac(c,neg(b)).")
+    assert fold_layout(forward).positions == (2, 1, 0)
+    backward = parse_adf("s(c). s(b). s(a). ac(c,neg(b)). ac(b,a). ac(a,a).")
+    assert fold_layout(backward).positions == (0, 1, 2)
+    # no argument names another: a tie keeps the declared order
+    free = parse_adf("s(a). s(b). ac(a,a). ac(b,c(f)).")
+    assert fold_layout(free).positions == (0, 1)
+    assert fold_layout(parse_adf("")).positions == ()
 
 
 def test_formula_to_bdd_constants_and_example():

@@ -12,6 +12,7 @@ from adfsolve.encoding import (
     VarLayout,
     apply_gamma,
     encode_interpretation,
+    fold_layout,
     gamma_pairs,
 )
 from adfsolve.bdd import Bdd, BddManager
@@ -34,7 +35,9 @@ from adfsolve.solutions import count, enumerate_solutions, sample_uniform
 from conftest import (
     EXAMPLE_ADF,
     disjoint_union,
+    free_adf,
     grid_adf,
+    peel_adf,
     random_adf,
     random_adf_with_free_inputs,
 )
@@ -382,21 +385,6 @@ def test_grid_inclusion_chain():
     assert elapsed < 60.0
 
 
-class PermutedLayout(VarLayout):
-    """Argument ``i`` at the pair of levels that position ``perm[i]`` has
-    in the declared layout, so that level order is not argument order."""
-
-    def __init__(self, names, perm):
-        super().__init__(names)
-        self.perm = perm
-
-    def top(self, i):
-        return 2 * self.perm[i]
-
-    def bot(self, i):
-        return 2 * self.perm[i] + 1
-
-
 def test_a_permuted_layout_gives_the_same_answers():
     # every reader of the truth-value code must place argument i at
     # top(i) and bot(i), not at levels 2i and 2i + 1
@@ -407,7 +395,8 @@ def test_a_permuted_layout_gives_the_same_answers():
         adf = make(rng, n)
         perm = list(range(n))
         rng.shuffle(perm)
-        layout, permuted = VarLayout.for_adf(adf), PermutedLayout(adf.arguments, perm)
+        # argument i at position perm[i], so that level order is not argument order
+        layout, permuted = VarLayout.for_adf(adf), VarLayout(adf.arguments, perm)
         for sem in SEMANTICS:
             expected = brute_semantics(adf, sem)
             solset = solve(adf, sem, permuted)
@@ -442,6 +431,108 @@ def test_reversed_declaration_order_keeps_answers(adf):
             ]
             assert len(listed[0]) == total
             assert listed[0] == listed[1]
+
+
+def random40(seed):
+    return random_adf(random.Random(seed), 40, 3)
+
+
+DECLARED, REVERSED = False, True
+
+
+@pytest.mark.parametrize(
+    "adf, reverse",
+    [
+        (grid_adf(7, 7, seed=135520872), REVERSED),
+        (grid_adf(8, 8), REVERSED),
+        (grid_adf(25, 10, seed=1), REVERSED),
+        (alternating_chain(1000), REVERSED),
+        (constant_headed_chain(400), REVERSED),
+        (peel_adf(4, 1)[0], DECLARED),
+        (peel_adf(8, 1)[0], DECLARED),
+        (peel_adf(12, 1)[0], DECLARED),
+        (free_adf(6, 1)[0], REVERSED),
+        (free_adf(10, 1)[0], REVERSED),
+        (random40(1), DECLARED),
+        (random40(4), REVERSED),
+        (random40(5), DECLARED),
+        (random40(6), DECLARED),
+    ],
+    ids=[
+        "grid7x7",
+        "grid8x8",
+        "grid25x10",
+        "chain1000",
+        "constchain400",
+        "peel4",
+        "peel8",
+        "peel12",
+        "free6",
+        "free10",
+        "random1",
+        "random4",
+        "random5",
+        "random6",
+    ],
+)
+def test_fold_layout_picks_the_order_with_fewer_open_arguments(adf, reverse):
+    # grids and chains are declared feed-forward, so the declared fold
+    # carries a row of unconstrained inputs, and peel tails are declared
+    # last-first; on each random model the order picked is the one that
+    # measured faster
+    positions = tuple(reversed(range(adf.n))) if reverse else tuple(range(adf.n))
+    assert fold_layout(adf).positions == positions
+
+
+@pytest.mark.parametrize(
+    "adf, sems",
+    [
+        (grid_adf(12, 8), SEMANTICS),
+        (alternating_chain(1000), SEMANTICS),
+        (constant_headed_chain(400), SEMANTICS),
+        (random40(1), SEMANTICS),
+        # stb runs out of memory on these two in either order
+        (random40(2), SEMANTICS[:-1]),
+        (random40(3), SEMANTICS[:-1]),
+        (peel_adf(12, 1)[0], SEMANTICS),
+        (free_adf(6, 1)[0], SEMANTICS),
+    ],
+    ids=[
+        "grid12x8",
+        "chain1000",
+        "constchain400",
+        "random1",
+        "random2",
+        "random3",
+        "peel12",
+        "free6",
+    ],
+)
+def test_fold_layout_keeps_the_declared_counts(adf, sems):
+    if fold_layout(adf).positions == tuple(range(adf.n)):
+        return  # the declared layout itself (random1), pinned above
+    for sem in sems:
+        assert count(solve(adf, sem, fold_layout(adf))) == count(solve(adf, sem)), sem
+
+
+def test_fold_layout_keeps_the_wide_grid_store_small():
+    # the declared fold leaves 110,884 store slots
+    adf = grid_adf(25, 10, seed=1)
+    layout = fold_layout(adf)
+    assert count(solve(adf, "com", layout)) == 19683
+    assert len(layout.manager._nodes) < 30_000
+
+
+@pytest.mark.parametrize(
+    "adf, sem",
+    [(grid_adf(25, 8, seed=1), "prf"), (random_adf(random.Random(2), 12, 3), "stb")],
+    ids=["prf-grid25x8", "stb-random12"],
+)
+def test_a_solve_leaves_no_memo_behind(adf, sem):
+    # minimal and exists empty the memo when they return, and stable ends
+    # in a fold step; when they did not, these left 10,229 and 133 entries
+    solset = solve(adf, sem)
+    assert solset.layout.manager._cache == {}
 
 
 def test_constant_headed_chain_grounds_to_its_two_valued_model():
