@@ -266,15 +266,15 @@ def dual_transform(f: Bdd, layout: VarLayout) -> Bdd:
     the assignment satisfies ``f``; behaviour on invalid ``(0,0)`` pairs is
     unconstrained, so consumers conjoin the validity constraint.  The
     transform is the engine's rebuild pass over the top levels, linear in
-    the diagram size; results are kept in the manager's memo until the
-    next fold step or collection.
+    the diagram size, and like every such pass it empties the manager's
+    memo when it returns.
     """
     man = layout.manager
     if f.manager is not man:
         raise EncodingError("function belongs to a different manager")
     if not layout._tops.issuperset(f.support()):
         raise EncodingError("function depends on a bot variable")
-    return Bdd(man, man._rebuild(_DUAL, f.root, layout._tops, 2 * layout.n - 2))
+    return man._rebuild_pass(_DUAL, f, layout._tops, 2 * layout.n - 2)
 
 
 def _check_layout(adf: Adf, layout: VarLayout) -> None:

@@ -17,10 +17,9 @@ from itertools import product
 
 from .encoding import Interpretation
 from .formula import Adf, And, Const, Formula, Iff, Imp, Not, Or, Var, Xor
+from .semantics import SEMANTICS
 
 DEFAULT_CAP = 12
-
-SEMANTICS = ("adm", "com", "grd", "prf", "2v", "stb")
 
 
 def _check_cap(adf: Adf, cap: int) -> None:

@@ -12,7 +12,9 @@ The walkers write each solution into one reused *row*, a copy of the
 layout's row template from ``encoding``, which spells the listing line
 and the truth-value code: a direct level writes its argument's value
 byte, and a dual pair is written at its bot level, which follows its top
-level in the order.  The command line writes the rows as they are; the
+level in the order.  A finished row is checked once for an invalid
+pair: no name holds ``?``, so its first ``?`` names the argument
+``decode`` would.  The command line writes the rows as they are; the
 public functions wrap each row as an ``Interpretation``.
 
 Output is deterministic: enumeration visits false before true at every
@@ -81,10 +83,10 @@ def _enumerate_rows(solset: SolutionSet) -> Iterator[bytearray]:
             if offset is None:
                 values = by_top[bit]
             else:
-                row[offset] = value = values[bit]
-                if value == _INVALID:  # a (0,0) pair, outside the validity constraint
-                    raise _invalid_pair(layout, layout._offsets.index(offset))
+                row[offset] = values[bit]
             idx += 1
+        if _INVALID in row:  # a (0,0) pair, outside the validity constraint
+            raise _invalid_pair(layout, layout._offsets.index(row.index(_INVALID)))
         yield row
         if not stack:
             return
@@ -147,9 +149,9 @@ def _sample_rows(solset: SolutionSet, n: int, seed: int) -> Iterator[bytearray]:
             if offset is None:
                 values = by_top[bit]
             else:
-                row[offset] = value = values[bit]
-                if value == _INVALID:  # a (0,0) pair, outside the validity constraint
-                    raise _invalid_pair(layout, layout._offsets.index(offset))
+                row[offset] = values[bit]
+        if _INVALID in row:  # a (0,0) pair, outside the validity constraint
+            raise _invalid_pair(layout, layout._offsets.index(row.index(_INVALID)))
         yield row
 
 

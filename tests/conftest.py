@@ -6,9 +6,9 @@ from pathlib import Path
 
 from adfsolve.formula import Adf, And, Const, Iff, Imp, Not, Or, Var, Xor
 
-# the benchmark's generators build its peel and free-input unions
+# the benchmark's generators build its grids and its peel and free-input unions
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
-from generators import free_adf, peel_adf  # noqa: E402,F401
+from generators import free_adf, grid_adf, peel_adf  # noqa: E402,F401
 
 EXAMPLE_ADF = "s(a). s(b). s(c). ac(a,c(v)). ac(b,or(neg(a),c)). ac(c,b)."
 EXAMPLE_BNET = "targets, factors\na, 1\nb, !a | c\nc, b\n"
@@ -68,35 +68,3 @@ def disjoint_union(parts) -> Adf:
         names += [name + f"_{j}" for name in part.arguments]
         conditions += [renamed(c, f"_{j}") for c in part.conditions]
     return Adf(tuple(names), tuple(conditions))
-
-
-def grid_adf(rows: int, cols: int, seed: int = 5, free_period: int = 29) -> Adf:
-    """Grid-shaped model: each cell depends on up to three neighbours."""
-    rng = random.Random(seed)
-    names = tuple(f"g{r}_{c}" for r in range(rows) for c in range(cols))
-    conditions = []
-    for r in range(rows):
-        for c in range(cols):
-
-            def ref(rr, cc):
-                v = Var(f"g{rr}_{cc}")
-                return Not(v) if rng.random() < 0.4 else v
-
-            index = r * cols + c
-            if index % free_period == 0:
-                conditions.append(Var(names[index]))
-                continue
-            deps = []
-            if c > 0:
-                deps.append(ref(r, c - 1))
-            if r > 0:
-                deps.append(ref(r - 1, c))
-            if r > 0 and c > 0 and rng.random() < 0.5:
-                deps.append(ref(r - 1, c - 1))
-            condition = deps[0]
-            for dep in deps[1:]:
-                condition = (
-                    And(condition, dep) if rng.random() < 0.6 else Or(condition, dep)
-                )
-            conditions.append(condition)
-    return Adf(names, tuple(conditions))

@@ -15,6 +15,9 @@ import pytest
 
 import adfsolve
 from adfsolve.bdd import _AND, _EXISTS, Bdd, BddError, BddManager
+from adfsolve.encoding import VarLayout, dual_transform, gamma_pairs
+from adfsolve.formula import parse_adf
+from conftest import EXAMPLE_ADF
 
 
 def random_expr(rng, nvars, depth):
@@ -569,8 +572,7 @@ def test_counting_a_diagram_as_deep_as_its_variable_order():
 
 def test_only_the_engine_reads_its_node_store():
     # every other module goes through manager methods and Bdd handles, and
-    # reads counts off linked entries; only the dual lift hands the engine
-    # a root id back, for its rebuild pass
+    # reads counts off linked entries; no node id leaves the engine
     package = Path(adfsolve.__file__).parent
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     readers = [
@@ -582,20 +584,24 @@ def test_only_the_engine_reads_its_node_store():
     holders = [
         name
         for name, text in sources.items()
-        if name not in ("bdd.py", "encoding.py") and re.search(r"\.root\b", text)
+        if name != "bdd.py" and re.search(r"\.root\b", text)
     ]
     assert holders == []
 
 
 def test_public_rebuild_passes_leave_no_memo():
-    # each empties the memo when it returns; only the dual lift leaves its
-    # memo to the fold that follows it
-    man = BddManager(6)
+    # each empties the memo when it returns, the dual lift included
+    layout = VarLayout(("a", "b", "c"))
+    man = layout.manager
     f = (man.var(0) & man.var(3)) | (man.var(1) ^ man.var(4)) | (man.var(2) & ~man.var(5))
+    tops = (man.var(0) & man.var(2)) ^ man.var(4)
+    adf = parse_adf(EXAMPLE_ADF)
     passes = [
         lambda: man.exists(f, [1, 3]),
         lambda: man.upward_closure(f, [0, 2, 4]),
         lambda: man.minimal(f, [0, 1, 2, 3, 4, 5]),
+        lambda: dual_transform(tops, layout),
+        lambda: gamma_pairs(adf, layout)[1].bot_fn,
     ]
     for rebuild in passes:
         assert (f & man.var(5)).root > 1 and man._cache  # a memo to start from

@@ -216,28 +216,29 @@ def test_rows_read_as_decode_reads_them():
 
 
 def test_an_invalid_dual_pair_raises_the_error_of_decode():
-    # a dual set without the validity constraint: enumeration reaches
-    # (0,0) first at b when a's pair is valid, and sampling meets it at
-    # the draw where decode would
-    layout = VarLayout(("a", "b", "c"))
-    man = layout.manager
-    a_valid = man.var(layout.top(0)) | man.var(layout.bot(0))
-    for bdd, name in [(man.true, "a"), (a_valid, "b")]:
-        ss = SolutionSet(bdd, layout, "dual")
-        with pytest.raises(EncodingError) as first:
-            valuation = [0] * man.num_vars
-            valuation[layout.bot(0)] = bdd != man.true
-            decode(valuation, layout, "dual")
-        assert str(first.value) == f"invalid (0,0) dual pair for argument {name!r}"
-        with pytest.raises(EncodingError) as listed:
-            next(enumerate_solutions(ss))
-        assert str(listed.value) == str(first.value)
-        for seed in range(20):
-            with pytest.raises(EncodingError) as expected:
-                reference_samples(ss, 20, seed)
-            with pytest.raises(EncodingError) as drawn:
-                sample_uniform(ss, 20, seed)
-            assert str(drawn.value) == str(expected.value)
+    # a dual set without the validity constraint: the first (0,0) pair in
+    # declaration order is at b when a's pair is valid, in the reversed
+    # layout too, and sampling meets it at the draw where decode would
+    for positions in [(0, 1, 2), (2, 1, 0)]:
+        layout = VarLayout(("a", "b", "c"), positions)
+        man = layout.manager
+        a_valid = man.var(layout.top(0)) | man.var(layout.bot(0))
+        for bdd, name in [(man.true, "a"), (a_valid, "b")]:
+            ss = SolutionSet(bdd, layout, "dual")
+            with pytest.raises(EncodingError) as first:
+                valuation = [0] * man.num_vars
+                valuation[layout.bot(0)] = bdd != man.true
+                decode(valuation, layout, "dual")
+            assert str(first.value) == f"invalid (0,0) dual pair for argument {name!r}"
+            with pytest.raises(EncodingError) as listed:
+                next(enumerate_solutions(ss))
+            assert str(listed.value) == str(first.value)
+            for seed in range(20):
+                with pytest.raises(EncodingError) as expected:
+                    reference_samples(ss, 20, seed)
+                with pytest.raises(EncodingError) as drawn:
+                    sample_uniform(ss, 20, seed)
+                assert str(drawn.value) == str(expected.value)
 
 
 ELAPSED = re.compile(r'"elapsed_ms": [0-9.e+-]+')
