@@ -307,8 +307,11 @@ _DUAL_VALUE = bytes.maketrans(b"\x00\x01\x02\x03", b"?01*")
 _INVALID = _DUAL_VALUE[0]
 
 
-def _invalid_pair(layout: VarLayout, i: int) -> EncodingError:
-    return EncodingError(f"invalid (0,0) dual pair for argument {layout.names[i]!r}")
+def _check_values(layout: VarLayout, values: bytes) -> None:
+    """Raise on the first of the value bytes, in declaration order, that reads the invalid pair."""
+    bad = values.find(_INVALID)
+    if bad >= 0:
+        raise EncodingError(f"invalid (0,0) dual pair for argument {layout.names[bad]!r}")
 
 
 def _row_reader(layout: VarLayout) -> Callable[[bytearray], Interpretation]:
@@ -325,9 +328,7 @@ def _dual_values(layout: VarLayout, bits: list[tuple[int, int]]) -> Interpretati
     """The interpretation whose argument ``i`` has the dual pair ``bits[i]``,
     a ``(top, bot)`` pair of 0/1 or bool."""
     codes = bytes(2 * top + bot for top, bot in bits).translate(_DUAL_VALUE)
-    bad = codes.find(_INVALID)
-    if bad >= 0:
-        raise _invalid_pair(layout, bad)
+    _check_values(layout, codes)
     return _trusted(layout, tuple(codes.decode()))
 
 

@@ -12,10 +12,10 @@ The walkers write each solution into one reused *row*, a copy of the
 layout's row template from ``encoding``, which spells the listing line
 and the truth-value code: a direct level writes its argument's value
 byte, and a dual pair is written at its bot level, which follows its top
-level in the order.  A finished row is checked once for an invalid
-pair: no name holds ``?``, so its first ``?`` names the argument
-``decode`` would.  The command line writes the rows as they are; the
-public functions wrap each row as an ``Interpretation``.
+level in the order.  A finished row holding a ``?`` (a name may hold
+one) has its values read in declaration order, so an invalid pair names
+the argument ``decode`` would.  The command line writes the rows as
+they are; the public functions wrap each row as an ``Interpretation``.
 
 Output is deterministic: enumeration visits false before true at every
 level, and sampling makes a fixed sequence of calls on
@@ -30,7 +30,7 @@ import random
 from collections.abc import Iterator
 from itertools import islice
 
-from .encoding import _DIRECT_VALUE, _DUAL_VALUE, _INVALID, Interpretation, _invalid_pair, _row_reader
+from .encoding import _DIRECT_VALUE, _DUAL_VALUE, _INVALID, Interpretation, _check_values, _row_reader
 from .semantics import SolutionSet
 
 
@@ -85,8 +85,8 @@ def _enumerate_rows(solset: SolutionSet) -> Iterator[bytearray]:
             else:
                 row[offset] = values[bit]
             idx += 1
-        if _INVALID in row:  # a (0,0) pair, outside the validity constraint
-            raise _invalid_pair(layout, layout._offsets.index(row.index(_INVALID)))
+        if _INVALID in row:  # a (0,0) pair, or a '?' in a name: read the values
+            _check_values(layout, bytes(map(row.__getitem__, layout._offsets)))
         yield row
         if not stack:
             return
@@ -150,8 +150,8 @@ def _sample_rows(solset: SolutionSet, n: int, seed: int) -> Iterator[bytearray]:
                 values = by_top[bit]
             else:
                 row[offset] = values[bit]
-        if _INVALID in row:  # a (0,0) pair, outside the validity constraint
-            raise _invalid_pair(layout, layout._offsets.index(row.index(_INVALID)))
+        if _INVALID in row:  # a (0,0) pair, or a '?' in a name: read the values
+            _check_values(layout, bytes(map(row.__getitem__, layout._offsets)))
         yield row
 
 

@@ -264,20 +264,13 @@ def test_long_chain_peels():
     assert time.perf_counter() - started < 60.0
 
 
-def test_peeling_a_deep_chain_answers():
-    # the rebuild pass behind prf's minimal members and the conjunctions
-    # behind stb recurse once per level of a 40,000-level order; the
-    # supported interpreters keep such recursion off the C stack
-    adf = alternating_chain(20000)
-    assert count(solve(adf, "prf")) == 2
-    assert count(solve(adf, "stb")) == 1
-
-
 def test_readers_walk_a_deep_chain():
-    # com's count entries on this chain link 40,000 deep: counting, the
-    # listing and the draws must walk them, and free them, without recursing
+    # the count entries on this chain link 40,000 deep: counting, the
+    # listing and the draws must walk them, and free them, without
+    # recursing; prf's minimal members and stb's conjunctions recurse once
+    # per level, which the supported interpreters keep off the C stack
     adf = alternating_chain(20000)
-    for sem, members in (("com", 3), ("2v", 2)):
+    for sem, members in (("com", 3), ("2v", 2), ("prf", 2), ("stb", 1)):
         ss = solve(adf, sem)
         assert count(ss) == members
         listed = [i.values for i in enumerate_solutions(ss)]

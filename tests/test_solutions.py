@@ -191,9 +191,10 @@ def test_sampling_follows_the_draw_contract():
 
 
 def test_rows_read_as_decode_reads_them():
-    # a '%' must not reach the line's % template, and letters outside ASCII
-    # put byte offsets past character offsets
-    layout = VarLayout(("a%s", "\u00fc", "%%", "\u00dfx\u2192"))
+    # a '%' must not reach the line's % template, a '?' in a name is no
+    # invalid value, and letters outside ASCII put byte offsets past
+    # character offsets
+    layout = VarLayout(("a%s", "\u00fc", "%%?", "\u00dfx\u2192"))
     man = layout.manager
     for kind, bdd in [("dual", validity_constraint(layout)), ("direct", man.true)]:
         ss = SolutionSet(bdd, layout, kind)
@@ -217,13 +218,14 @@ def test_rows_read_as_decode_reads_them():
 
 def test_an_invalid_dual_pair_raises_the_error_of_decode():
     # a dual set without the validity constraint: the first (0,0) pair in
-    # declaration order is at b when a's pair is valid, in the reversed
-    # layout too, and sampling meets it at the draw where decode would
-    for positions in [(0, 1, 2), (2, 1, 0)]:
-        layout = VarLayout(("a", "b", "c"), positions)
+    # declaration order is at the second argument when the first's pair is
+    # valid, in the reversed layout too, and whatever '?' the names hold;
+    # sampling meets it at the draw where decode would
+    for names, positions in [("abc", (0, 1, 2)), ("abc", (2, 1, 0)), (("a?", "?", "c"), (0, 1, 2))]:
+        layout = VarLayout(tuple(names), positions)
         man = layout.manager
         a_valid = man.var(layout.top(0)) | man.var(layout.bot(0))
-        for bdd, name in [(man.true, "a"), (a_valid, "b")]:
+        for bdd, name in [(man.true, names[0]), (a_valid, names[1])]:
             ss = SolutionSet(bdd, layout, "dual")
             with pytest.raises(EncodingError) as first:
                 valuation = [0] * man.num_vars
